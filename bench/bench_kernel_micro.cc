@@ -16,7 +16,6 @@
 #include "disk/mechanism.h"
 #include "extsort/loser_tree.h"
 #include "obs/metrics.h"
-#include "sim/calendar.h"
 #include "sim/event.h"
 #include "sim/frame_pool.h"
 #include "sim/process.h"
@@ -47,14 +46,14 @@ void SetKernelCounters(benchmark::State& state, uint64_t events,
       static_cast<double>(HeapAllocs() - heap_allocs_before) / ops;
 }
 
-// The calendar benches run BENCHMARK_CAPTURE'd over both backends, so one
-// binary yields a trustworthy heap-vs-calendar-queue A/B (same build, same
-// box, interleaved by the runner) — the numbers docs/PERFORMANCE.md quotes.
-void BM_CalendarScheduleExecute(benchmark::State& state, sim::CalendarBackend backend) {
+// Fill-then-drain: 1000 events pushed from cold, so the calendar crosses the
+// heap -> calendar-queue switch and the queue pays its growth resizes inside
+// every op.
+void BM_CalendarScheduleExecute(benchmark::State& state) {
   uint64_t events = 0;
   uint64_t allocs0 = HeapAllocs();
   for (auto _ : state) {
-    sim::Simulation sim(backend);
+    sim::Simulation sim;
     int64_t counter = 0;
     for (int i = 0; i < 1000; ++i) {
       sim.ScheduleCallback(static_cast<double>(i % 97), [&counter] { ++counter; });
@@ -66,8 +65,7 @@ void BM_CalendarScheduleExecute(benchmark::State& state, sim::CalendarBackend ba
   state.SetItemsProcessed(state.iterations() * 1000);
   SetKernelCounters(state, events, allocs0);
 }
-BENCHMARK_CAPTURE(BM_CalendarScheduleExecute, heap, sim::CalendarBackend::kHeap);
-BENCHMARK_CAPTURE(BM_CalendarScheduleExecute, cq, sim::CalendarBackend::kCalendarQueue);
+BENCHMARK(BM_CalendarScheduleExecute);
 
 // Self-rescheduling callback for the hold model below: each invocation pops
 // as the minimum and pushes one replacement at now + U[0.5, 2.5), keeping the
@@ -92,13 +90,13 @@ struct HoldHopper {
 // Classic hold model (the standard event-calendar benchmark): fixed
 // population n, each op replaces the minimum. This is the steady-state
 // shape of a running merge — a calendar of pending disk completions at
-// roughly constant depth — and the regime where backend asymptotics actually
-// separate: the 4-ary heap pays O(log n) sift work per hold, the calendar
-// queue amortized O(1). Pools and buckets are warmed before the counter
-// snapshot, so allocs_per_op gates at zero.
-void BM_CalendarHold(benchmark::State& state, sim::CalendarBackend backend) {
+// roughly constant depth. Every n here is at or above the kernel's switch
+// depth, so the hold runs on the calendar queue (amortized O(1) per hold).
+// Pools and buckets are warmed before the counter snapshot, so allocs_per_op
+// gates at zero.
+void BM_CalendarHold(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sim::Simulation sim(backend);
+  sim::Simulation sim;
   for (int i = 0; i < n; ++i) {
     HoldHopper hopper{&sim, 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(i + 1)};
     sim.ScheduleCallback(static_cast<double>(i) / static_cast<double>(n), hopper);
@@ -114,18 +112,7 @@ void BM_CalendarHold(benchmark::State& state, sim::CalendarBackend backend) {
   state.SetItemsProcessed(state.iterations() * 1000);
   SetKernelCounters(state, sim.events_processed() - events0, allocs0);
 }
-BENCHMARK_CAPTURE(BM_CalendarHold, heap, sim::CalendarBackend::kHeap)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_CalendarHold, cq, sim::CalendarBackend::kCalendarQueue)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096);
+BENCHMARK(BM_CalendarHold)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 // A cohort member for the same-timestamp-burst bench: alternates between two
 // latch events so the driver can rearm one while everyone waits on the other.
@@ -143,9 +130,9 @@ sim::Process BurstCohortWaiter(sim::Event& ping, sim::Event& pong) {
 // because a burst still counts one processed event per member. Ping-pong
 // between two latches keeps every waiter list and the pooled burst cell at
 // steady-state capacity, so allocs_per_op gates at zero here too.
-void BM_CalendarSameTimeBurst(benchmark::State& state, sim::CalendarBackend backend) {
+void BM_CalendarSameTimeBurst(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
-  sim::Simulation sim(backend);
+  sim::Simulation sim;
   sim::Event ping(&sim);
   sim::Event pong(&sim);
   for (int i = 0; i < d; ++i) {
@@ -171,14 +158,7 @@ void BM_CalendarSameTimeBurst(benchmark::State& state, sim::CalendarBackend back
   state.SetItemsProcessed(state.iterations() * d);
   SetKernelCounters(state, sim.events_processed() - events0, allocs0);
 }
-BENCHMARK_CAPTURE(BM_CalendarSameTimeBurst, heap, sim::CalendarBackend::kHeap)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64);
-BENCHMARK_CAPTURE(BM_CalendarSameTimeBurst, cq, sim::CalendarBackend::kCalendarQueue)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64);
+BENCHMARK(BM_CalendarSameTimeBurst)->Arg(4)->Arg(16)->Arg(64);
 
 sim::Process Hopper(sim::Simulation& /*sim*/, int hops) {
   for (int i = 0; i < hops; ++i) {
@@ -254,12 +234,11 @@ void BM_LoserTreeReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_LoserTreeReplay)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_FullMergeTrial(benchmark::State& state, sim::CalendarBackend backend) {
+void BM_FullMergeTrial(benchmark::State& state) {
   core::MergeConfig cfg =
       core::MergeConfig::Paper(25, 5, static_cast<int>(state.range(0)),
                                core::Strategy::kAllDisksOneRun,
                                core::SyncMode::kUnsynchronized);
-  cfg.calendar = backend;
   uint64_t seed = 1;
   uint64_t allocs0 = HeapAllocs();
   uint64_t events = 0;
@@ -272,8 +251,7 @@ void BM_FullMergeTrial(benchmark::State& state, sim::CalendarBackend backend) {
   state.SetItemsProcessed(state.iterations() * 25000);  // Blocks per trial.
   SetKernelCounters(state, events, allocs0);
 }
-BENCHMARK_CAPTURE(BM_FullMergeTrial, heap, sim::CalendarBackend::kHeap)->Arg(1)->Arg(10);
-BENCHMARK_CAPTURE(BM_FullMergeTrial, cq, sim::CalendarBackend::kCalendarQueue)->Arg(1)->Arg(10);
+BENCHMARK(BM_FullMergeTrial)->Arg(1)->Arg(10);
 
 }  // namespace
 }  // namespace emsim

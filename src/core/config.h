@@ -8,7 +8,6 @@
 #include "disk/disk_params.h"
 #include "disk/layout.h"
 #include "fault/fault_plan.h"
-#include "sim/calendar.h"
 #include "util/status.h"
 
 namespace emsim::core {
@@ -115,14 +114,6 @@ struct MergeConfig {
   std::vector<int> trace;                   ///< For kTrace: run ids in depletion order.
 
   uint64_t seed = 1;
-
-  /// Event-calendar backend for the kernel (runtime A/B knob; kDefault
-  /// resolves EMSIM_CALENDAR, unset meaning heap). Deliberately excluded
-  /// from ToString(), specs and every exported artifact: backends are
-  /// result-equivalent by contract, so nothing downstream may depend on the
-  /// choice — byte-identical sweep artifacts under either backend are pinned
-  /// by test.
-  sim::CalendarBackend calendar = sim::CalendarBackend::kDefault;
 
   /// Fault injection and recovery policy (robustness extension). The
   /// all-defaults config disables injection entirely: the merge takes the

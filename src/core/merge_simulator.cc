@@ -74,7 +74,6 @@ class Engine {
  public:
   explicit Engine(const MergeConfig& config)
       : config_(config),
-        sim_(config.calendar),
         metrics_(config.collect_metrics),
         layout_(disk::RunLayout::Options{config.num_runs, config.num_disks,
                                          config.blocks_per_run, config.disk_params.geometry,

@@ -1,52 +1,8 @@
 #include "sim/calendar.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace emsim::sim {
-
-bool ParseCalendarBackend(std::string_view text, CalendarBackend* out) {
-  if (text.empty()) {
-    *out = CalendarBackend::kDefault;
-    return true;
-  }
-  if (text == "heap") {
-    *out = CalendarBackend::kHeap;
-    return true;
-  }
-  if (text == "cq" || text == "calendar-queue") {
-    *out = CalendarBackend::kCalendarQueue;
-    return true;
-  }
-  return false;
-}
-
-const char* CalendarBackendName(CalendarBackend backend) {
-  switch (backend) {
-    case CalendarBackend::kHeap:
-      return "heap";
-    case CalendarBackend::kCalendarQueue:
-      return "cq";
-    case CalendarBackend::kDefault:
-      break;
-  }
-  return "default";
-}
-
-CalendarBackend DefaultCalendarBackend() {
-  static const CalendarBackend resolved = [] {
-    const char* env = std::getenv("EMSIM_CALENDAR");
-    CalendarBackend parsed = CalendarBackend::kDefault;
-    EMSIM_CHECK(ParseCalendarBackend(env == nullptr ? "" : env, &parsed) &&
-                "EMSIM_CALENDAR must be unset, \"heap\", or \"cq\"");
-    return parsed == CalendarBackend::kDefault ? CalendarBackend::kHeap : parsed;
-  }();
-  return resolved;
-}
-
-CalendarBackend ResolveCalendarBackend(CalendarBackend requested) {
-  return requested == CalendarBackend::kDefault ? DefaultCalendarBackend() : requested;
-}
 
 void CalendarQueue::FindMinSparse() {
   // Sparse calendar: every pending entry is more than a year ahead of the

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "util/check.h"
@@ -28,8 +27,9 @@ struct CalEntry {
 };
 static_assert(sizeof(CalEntry) == 16, "calendar entries must stay 16 bytes");
 
-/// Strict total order (seq is unique among pending entries), so every backend
-/// pops in exactly the same sequence: time-ordered, FIFO within a tick.
+/// Strict total order (seq is unique among pending entries), so the kernel's
+/// heap and the calendar queue pop in exactly the same sequence: time-ordered,
+/// FIFO within a tick.
 /// Written with forced evaluation (`|`/`&`, not `||`/`&&`) so compilers emit
 /// setcc/cmov instead of branches: inside heap sifts and bucket scans the
 /// outcome is data-dependent and unpredictable, and mispredictions were the
@@ -38,42 +38,19 @@ inline bool EarlierThan(const CalEntry& a, const CalEntry& b) {
   return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
 }
 
-/// Which event-calendar structure a Simulation uses. Both backends implement
-/// the identical (time, seq) contract; results are byte-identical either way,
-/// which is what makes same-binary A/B comparisons trustworthy.
-enum class CalendarBackend : uint8_t {
-  kDefault = 0,        // Resolve from EMSIM_CALENDAR (unset -> heap).
-  kHeap = 1,           // Indexed 4-ary min-heap: O(log n), cache-friendly.
-  kCalendarQueue = 2,  // Brown 1988 bucket calendar: amortized O(1).
-};
-
-/// Parses "heap" / "cq" (alias "calendar-queue"); empty selects kDefault.
-/// Returns false (leaving `out` untouched) on anything else.
-bool ParseCalendarBackend(std::string_view text, CalendarBackend* out);
-
-/// Canonical spelling for specs, CLI flags and bench labels.
-const char* CalendarBackendName(CalendarBackend backend);
-
-/// The process-wide default backend: EMSIM_CALENDAR resolved once on first
-/// use (unset or empty means heap; an unparseable value aborts rather than
-/// silently benchmarking the wrong structure).
-CalendarBackend DefaultCalendarBackend();
-
-/// Maps kDefault to DefaultCalendarBackend(), leaving explicit choices alone.
-CalendarBackend ResolveCalendarBackend(CalendarBackend requested);
-
 /// Calendar queue after Brown (1988): a power-of-two array of time-bucketed,
 /// sorted lists plus a cursor that sweeps one "year" (nbuckets * width) per
 /// lap. With width adapted so each bucket holds O(1) events, Push and PopMin
 /// are amortized O(1) versus the heap's O(log n) sift — the win grows with
-/// calendar population.
+/// calendar population. Simulation moves its pending entries here once the
+/// calendar gets deep (see Simulation::kQueueSwitchDepth).
 ///
 /// Determinism: an entry's bucket is derived from VirtualBucket(time), and
 /// the due-test applies the *same* expression to the bucket front, so the FP
 /// rounding of time/width can never disagree between insert and scan. Within
 /// a bucket entries are kept sorted by EarlierThan, and the fallback search
 /// (sparse calendars) compares real (time, seq) keys — the pop sequence is
-/// identical to the heap backend's for every input.
+/// identical to the kernel heap's for every input.
 class CalendarQueue {
  public:
   CalendarQueue() { buckets_.resize(kMinBuckets); }

@@ -65,29 +65,38 @@ void Simulation::RenormalizeSeqs() {
   // their relative order), and reinstall. New pushes then continue from n,
   // so every future entry orders after every pending one — exactly the
   // pre-wrap contract. A sorted array is a valid min-heap, so the heap
-  // backend reinstalls with a plain move.
+  // reinstalls with a plain move.
   std::vector<CalEntry> pending;
-  if (backend_ == CalendarBackend::kHeap) {
+  if (on_queue_) {
+    cq_.DrainInOrder(&pending);
+  } else {
     pending.swap(calendar_);
     std::sort(pending.begin(), pending.end(), EarlierThan);
-  } else {
-    cq_.DrainInOrder(&pending);
   }
   for (size_t i = 0; i < pending.size(); ++i) {
     pending[i].seq = static_cast<uint32_t>(i);
   }
   next_seq_ = static_cast<uint32_t>(pending.size());
-  if (backend_ == CalendarBackend::kHeap) {
-    calendar_ = std::move(pending);
-  } else {
+  if (on_queue_) {
     for (const CalEntry& entry : pending) {
       cq_.Push(entry);
     }
+  } else {
+    calendar_ = std::move(pending);
   }
 }
 
 void Simulation::HeapPush(CalEntry entry) {
   size_t i = calendar_.size();
+  if (i >= kQueueSwitchDepth) {
+    for (const CalEntry& pending : calendar_) {
+      cq_.Push(pending);
+    }
+    calendar_.clear();
+    on_queue_ = true;
+    cq_.Push(entry);
+    return;
+  }
   calendar_.push_back(entry);
   while (i > 0) {
     size_t parent = (i - 1) / kHeapArity;
@@ -179,7 +188,7 @@ void Simulation::DispatchBurst(uint32_t slot) {
 
 bool Simulation::Step() {
   CalEntry entry;
-  if (backend_ == CalendarBackend::kHeap) {
+  if (!on_queue_) {
     if (calendar_.empty()) {
       return false;
     }

@@ -31,26 +31,30 @@ class Process;
 /// Hot-path layout: the calendar orders 16-byte trivially copyable entries
 /// (see CalEntry) whose payload is a tagged index into one of three recycled
 /// slot pools — coroutine handles (the dominant case), pooled callbacks, or
-/// same-timestamp burst groups. Two selectable backends implement the
-/// identical (time, seq) contract: an indexed 4-ary min-heap (sift moves two
-/// words per hop, children of a node share a cache line) and a Brown-1988
-/// calendar queue (amortized O(1) bucket ops; see calendar.h). Backend choice
-/// never changes results, only speed.
+/// same-timestamp burst groups. Those entries start in an indexed 4-ary
+/// min-heap (sift moves two words per hop, children of a node share a cache
+/// line); the first push that finds kQueueSwitchDepth entries pending moves
+/// them into a Brown-1988 calendar queue (amortized O(1) bucket ops; see
+/// calendar.h), where they stay for the rest of the Simulation. Both
+/// structures pop in the identical (time, seq) order, so the switch never
+/// changes results, only speed.
 class Simulation {
  public:
-  /// `backend` selects the calendar structure; kDefault resolves the
-  /// EMSIM_CALENDAR environment variable (unset means heap).
-  explicit Simulation(CalendarBackend backend = CalendarBackend::kDefault)
-      : backend_(ResolveCalendarBackend(backend)) {}
+  /// Pending-entry count at which the calendar leaves the heap for the
+  /// calendar queue, one way. Set from end-to-end perfbench runs
+  /// (docs/PERFORMANCE.md): fetch-heavy and cache-bound-writes trials
+  /// average 4.4 and 3.3 pending entries at a pop and never exceed 6, and
+  /// forcing the queue on every trial cost fetch-heavy ~6 % and sweep-smoke
+  /// ~9 % blocks/s; deep-prefetch pops at 8-11 pending and gained ~14 %
+  /// blocks/s from this switch.
+  static constexpr size_t kQueueSwitchDepth = 8;
 
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   /// Current simulated time.
   SimTime Now() const { return now_; }
-
-  /// The calendar backend this kernel resolved to (never kDefault).
-  CalendarBackend backend() const { return backend_; }
 
   /// Starts a process: the coroutine body begins executing at the current
   /// simulated time (processes start suspended). Ownership of the coroutine
@@ -159,9 +163,7 @@ class Simulation {
   uint64_t events_processed() const { return events_processed_; }
 
   /// Entries waiting in the calendar right now (a burst group counts as one).
-  size_t CalendarDepth() const {
-    return backend_ == CalendarBackend::kHeap ? calendar_.size() : cq_.size();
-  }
+  size_t CalendarDepth() const { return on_queue_ ? cq_.size() : calendar_.size(); }
 
   /// Callback slots currently owned by the pool (allocated high-water mark;
   /// introspection for tests and benches — slots are recycled, so this stays
@@ -277,21 +279,20 @@ class Simulation {
   }
   void RenormalizeSeqs();
 
-  bool CalendarEmpty() const {
-    return backend_ == CalendarBackend::kHeap ? calendar_.empty() : cq_.empty();
-  }
+  bool CalendarEmpty() const { return on_queue_ ? cq_.empty() : calendar_.empty(); }
   void CalPush(CalEntry entry) {
-    if (backend_ == CalendarBackend::kHeap) {
-      HeapPush(entry);
-    } else {
+    if (on_queue_) {
       cq_.Push(entry);
+    } else {
+      HeapPush(entry);
     }
   }
   /// Earliest pending time; requires a non-empty calendar.
-  SimTime CalMinTime() {
-    return backend_ == CalendarBackend::kHeap ? calendar_.front().time : cq_.PeekMin().time;
-  }
+  SimTime CalMinTime() { return on_queue_ ? cq_.PeekMin().time : calendar_.front().time; }
 
+  /// Pushes onto the heap, or, when kQueueSwitchDepth entries are already
+  /// pending, moves them all into the calendar queue for good and pushes
+  /// there. Out of line, so each inlined CalPush stays one flag test.
   void HeapPush(CalEntry entry);
   void HeapPopRoot();
   uint32_t AcquireCallbackSlot();
@@ -307,7 +308,6 @@ class Simulation {
   uint32_t AcquireBurstSlot();
   void DispatchBurst(uint32_t slot);
 
-  CalendarBackend backend_;
   SimTime now_ = 0.0;
   uint32_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
@@ -316,8 +316,9 @@ class Simulation {
   bool in_burst_dispatch_ = false;
   SimTime run_deadline_ = 0.0;  // Valid only while in_run_loop_ is true.
   std::vector<LiveProcess> live_;
-  std::vector<CalEntry> calendar_;  // Heap backend: 4-ary min-heap.
-  CalendarQueue cq_;                // Calendar-queue backend.
+  bool on_queue_ = false;           // Set once, by HeapPush.
+  std::vector<CalEntry> calendar_;  // 4-ary min-heap while !on_queue_.
+  CalendarQueue cq_;                // Every pending entry once on_queue_.
 
   // Slot pools. Ids recycle through free lists so steady-state traffic
   // reuses the same cells; the pools grow to the peak number of

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -26,6 +27,11 @@ Status ParseDoubleText(const std::string& text, double* out) {
   double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
     return Status::InvalidArgument(StrFormat("not a number: '%s'", text.c_str()));
+  }
+  // strtod accepts "nan" and "inf", which no flag means and which slip past
+  // range checks written as `x < 0`.
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument(StrFormat("not a finite number: '%s'", text.c_str()));
   }
   *out = v;
   return Status::OK();
@@ -121,7 +127,11 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
       }
       value = argv[++i];
     }
-    EMSIM_RETURN_IF_ERROR(flag.set(value));
+    Status set = flag.set(value);
+    if (!set.ok()) {
+      return Status::InvalidArgument(
+          StrFormat("flag --%s: %s", name.c_str(), set.message().c_str()));
+    }
   }
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 #include "workload/experiment_spec.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +71,12 @@ Status ApplyKey(const std::string& key, const std::string& value, ExperimentSpec
     double v = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0') {
       return bad(StrFormat("'%s' is not a number for key '%s'", value.c_str(), key.c_str()));
+    }
+    // strtod accepts "nan" and "inf"; both slip past Validate's `x < 0`
+    // range checks and abort deep inside the simulation.
+    if (!std::isfinite(v)) {
+      return bad(StrFormat("'%s' is not a finite number for key '%s'", value.c_str(),
+                           key.c_str()));
     }
     *out = v;
     return Status::OK();

@@ -133,6 +133,20 @@ TEST(ExperimentSpecTest, RejectsOutOfRangeIntegers) {
   EXPECT_EQ((*ok)[0].config.seed, 9223372036854775807ULL);
 }
 
+TEST(ExperimentSpecTest, RejectsNonFiniteNumbers) {
+  // strtod accepts these spellings; Validate's `x < 0` range checks let a
+  // NaN through to a CHECK abort inside the simulation.
+  for (const char* text : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(text);
+    auto result = ParseExperimentSpec(std::string("[a]\nfault_timeout_ms = ") + text + "\n");
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find("fault_timeout_ms"), std::string::npos);
+    EXPECT_NE(result.status().message().find("finite"), std::string::npos);
+  }
+  EXPECT_FALSE(ParseExperimentSpec("[a]\nzipf_theta = nan\n").ok());
+  EXPECT_FALSE(ParseExperimentSpec("[a]\ncpu_ms = inf\n").ok());
+}
+
 TEST(ExperimentSpecTest, InvalidConfigNamedInError) {
   auto result = ParseExperimentSpec("[broken]\nruns = 0\n");
   EXPECT_FALSE(result.ok());

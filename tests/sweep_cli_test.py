@@ -10,7 +10,9 @@ from docs/SWEEPS.md:
     with identical bytes;
   * hand-driven --sweep-worker / --sweep-merge reproduce the same bytes;
   * a worker records task failures as data and the merge surfaces the
-    lowest-index failure with a nonzero exit.
+    lowest-index failure with a nonzero exit;
+  * invalid flag values (--trials 0, a nan number) exit 2 with a message
+    naming the flag, never a CHECK abort.
 
 Usage: sweep_cli_test.py <path-to-emsim_cli>
 """
@@ -163,6 +165,18 @@ class SweepCliTest(unittest.TestCase):
         )
         self.assertEqual(proc.returncode, 1)
         self.assertIn("digest", proc.stderr)
+
+    def test_invalid_flag_values_exit_2_without_check_abort(self):
+        base = ["--runs", "5", "--disks", "2", "--blocks", "20", "--n", "2",
+                "--trials", "1"]
+        for extra in (["--trials", "0"],
+                      ["--trials", "-3"],
+                      ["--fault_media_error_rate", "0.1", "--fault_timeout_ms", "nan"]):
+            with self.subTest(extra=extra):
+                proc = run_cli(base + extra, cwd=self.dir, check=False)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertNotIn("EMSIM_CHECK", proc.stderr)
+                self.assertIn(extra[-2].lstrip("-"), proc.stderr)
 
 
 if __name__ == "__main__":

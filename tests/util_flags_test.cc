@@ -69,6 +69,20 @@ TEST(FlagSetTest, BadNumberIsError) {
   EXPECT_FALSE(flags.Parse(3, argv2).ok());
 }
 
+TEST(FlagSetTest, NonFiniteDoubleIsErrorNamingTheFlag) {
+  for (const char* text : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(text);
+    FlagSet flags("t");
+    double d = 1.5;
+    flags.AddDouble("timeout_ms", &d, "double");
+    const char* argv[] = {"t", "--timeout_ms", text};
+    Status s = flags.Parse(3, argv);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("--timeout_ms"), std::string::npos) << s.message();
+    EXPECT_EQ(d, 1.5);
+  }
+}
+
 TEST(FlagSetTest, BoolForms) {
   FlagSet flags("t");
   bool a = false;

@@ -41,7 +41,6 @@
 #include "core/experiment.h"
 #include "core/result.h"
 #include "core/result_json.h"
-#include "sim/calendar.h"
 #include "stats/json_writer.h"
 #include "stats/table.h"
 #include "sweep/dispatcher.h"
@@ -154,7 +153,6 @@ int main(int argc, char** argv) {
   std::string format = "table";
   std::string json_path;
   bool collect_metrics = false;
-  std::string calendar_name;
   bool help = false;
   bool print_spec = false;
   // Fault injection (docs/ROBUSTNESS.md). Defaults leave injection off, which
@@ -215,9 +213,6 @@ int main(int argc, char** argv) {
                   "also write a schema-stable JSON document here ('-' = stdout)");
   flags.AddBool("metrics", &collect_metrics,
                 "collect the full metrics registry into the JSON export");
-  flags.AddString("calendar", &calendar_name,
-                  "event-calendar backend: heap | cq (default: EMSIM_CALENDAR, "
-                  "else heap; results are byte-identical either way)");
   flags.AddBool("print_spec", &print_spec, "echo each experiment as spec syntax");
   flags.AddDouble("fault_media_error_rate", &fault_media_error_rate,
                   "P(injected media error) per read request");
@@ -309,6 +304,10 @@ int main(int argc, char** argv) {
     }
     specs = *std::move(loaded);
   } else {
+    if (trials < 1) {
+      std::fprintf(stderr, "invalid configuration: --trials must be >= 1, got %d\n", trials);
+      return 2;
+    }
     workload::ExperimentSpec spec;
     spec.name = "cli";
     spec.trials = trials;
@@ -369,15 +368,8 @@ int main(int argc, char** argv) {
       std::printf("%s\n", workload::ToSpec(spec).c_str());
     }
   }
-  sim::CalendarBackend calendar_backend = sim::CalendarBackend::kDefault;
-  if (!sim::ParseCalendarBackend(calendar_name, &calendar_backend)) {
-    std::fprintf(stderr, "--calendar must be 'heap' or 'cq', got '%s'\n",
-                 calendar_name.c_str());
-    return 2;
-  }
   for (auto& spec : specs) {
     spec.config.collect_metrics = collect_metrics;
-    spec.config.calendar = calendar_backend;
   }
   std::vector<core::SweepUnit> units = sweep::UnitsFromSpecs(specs);
   core::SweepGrid grid(units);
@@ -610,10 +602,6 @@ int main(int argc, char** argv) {
       }
       if (collect_metrics) {
         base.push_back("--metrics");
-      }
-      if (calendar_backend != sim::CalendarBackend::kDefault) {
-        base.insert(base.end(),
-                    {"--calendar", sim::CalendarBackendName(calendar_backend)});
       }
       base.insert(base.end(), {"--max_sim_events",
                                StrFormat("%lld", static_cast<long long>(max_sim_events))});
