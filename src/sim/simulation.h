@@ -165,6 +165,9 @@ class Simulation {
   /// Entries waiting in the calendar right now (a burst group counts as one).
   size_t CalendarDepth() const { return on_queue_ ? cq_.size() : calendar_.size(); }
 
+  /// True once the calendar has moved from the heap to the calendar queue.
+  bool on_calendar_queue() const { return on_queue_; }
+
   /// Callback slots currently owned by the pool (allocated high-water mark;
   /// introspection for tests and benches — slots are recycled, so this stays
   /// at the peak number of simultaneously scheduled callbacks).

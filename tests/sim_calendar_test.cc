@@ -7,8 +7,9 @@
 // FIFO ordering on both sides of the switch and across it: under every
 // driver (Run, RunUntil, Step), under reentrant scheduling from callbacks,
 // and under adversarial time distributions (all-equal timestamps, sparse
-// exponential spreads, resize churn). Small-population cases stay on the
-// heap; the large ones cross the switch. Labeled `unit;thread` so the
+// exponential spreads, resize churn). Each contract case runs twice: from a
+// fresh Simulation, where small populations stay on the heap and large ones
+// cross the switch, and from one already on the queue. Labeled `unit;thread` so the
 // sanitizer CI jobs run them under ASan and TSan builds as well.
 
 #include <algorithm>
@@ -149,7 +150,43 @@ class TreeDriver {
   size_t max_depth_ = 0;
 };
 
-TEST(CalendarContractTest, RunMatchesReferenceModel) {
+/// Which structure a contract test's Simulation starts on.
+enum class Start { kHeap, kQueue };
+
+/// Puts a fresh `sim` on the structure `start` names and returns the events
+/// that took. A fresh Simulation is on the heap already (0 events). For the
+/// queue, kQueueSwitchDepth + 1 no-op callbacks at t=0 cross the switch and
+/// run; the Simulation keeps the queue, now empty, with the clock still at 0.
+uint64_t StartOn(Start start, Simulation& sim) {
+  if (start == Start::kQueue) {
+    for (size_t i = 0; i <= Simulation::kQueueSwitchDepth; ++i) {
+      sim.ScheduleCallback(0.0, [] {});
+    }
+    sim.Run();
+  }
+  EXPECT_EQ(sim.on_calendar_queue(), start == Start::kQueue);
+  EXPECT_EQ(sim.Now(), 0.0);
+  EXPECT_EQ(sim.CalendarDepth(), 0u);
+  return sim.events_processed();
+}
+
+/// Every contract test runs twice. On `heap` the Simulation starts on the
+/// heap, and the tests that fill it past kQueueSwitchDepth cross the switch
+/// mid-run. On `cq` it is on the calendar queue before the first event, so
+/// even the shallow phases run there. The (time, seq) contract holds on both
+/// structures and across the switch; this suite is what pins it.
+class CalendarContractTest : public ::testing::TestWithParam<Start> {
+ protected:
+  uint64_t Prepare(Simulation& sim) const { return StartOn(GetParam(), sim); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Start, CalendarContractTest,
+                         ::testing::Values(Start::kHeap, Start::kQueue),
+                         [](const ::testing::TestParamInfo<Start>& info) {
+                           return std::string(info.param == Start::kHeap ? "heap" : "cq");
+                         });
+
+TEST_P(CalendarContractTest, RunMatchesReferenceModel) {
   // 200 roots cross the heap -> queue switch while the roots are scheduled;
   // 4 roots whose events each have 1-2 children start on the heap and cross
   // it from inside a running callback, as the children pile up.
@@ -161,23 +198,26 @@ TEST(CalendarContractTest, RunMatchesReferenceModel) {
       std::vector<int> expected = ReferenceOrder(tree);
 
       Simulation sim;
+      const uint64_t primed = Prepare(sim);
       TreeDriver driver(&sim, &tree);
       driver.ScheduleRoots();
       sim.Run();
 
       EXPECT_EQ(driver.log(), expected);
       EXPECT_GE(driver.max_depth(), Simulation::kQueueSwitchDepth);
-      EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(tree.num_ids));
+      EXPECT_EQ(sim.events_processed() - primed, static_cast<uint64_t>(tree.num_ids));
+      EXPECT_TRUE(sim.on_calendar_queue());
       EXPECT_EQ(sim.CalendarDepth(), 0u);
     }
   }
 }
 
-TEST(CalendarContractTest, InterleavedStepAndRunUntilMatchesReferenceModel) {
+TEST_P(CalendarContractTest, InterleavedStepAndRunUntilMatchesReferenceModel) {
   EventTree tree = MakeTree(/*seed=*/99, /*roots=*/150, /*max_ids=*/3000);
   std::vector<int> expected = ReferenceOrder(tree);
 
   Simulation sim;
+  const uint64_t primed = Prepare(sim);
   TreeDriver driver(&sim, &tree);
   driver.ScheduleRoots();
   // Drain through every driver the kernel offers: single steps, bounded
@@ -190,16 +230,17 @@ TEST(CalendarContractTest, InterleavedStepAndRunUntilMatchesReferenceModel) {
   sim.Run();
 
   EXPECT_EQ(driver.log(), expected);
-  EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(tree.num_ids));
+  EXPECT_EQ(sim.events_processed() - primed, static_cast<uint64_t>(tree.num_ids));
 }
 
-TEST(CalendarContractTest, RunUntilStopsRightAfterTheSwitch) {
+TEST_P(CalendarContractTest, RunUntilStopsRightAfterTheSwitch) {
   // Eight roots fill the heap: seven at 10..16 and root 7 at t=1. Root 7's
   // callback leaves seven pending, pushes one more on the heap, and its
   // second push finds eight pending and moves the calendar to the queue.
   // RunUntil(1) then reads its deadline test from the new queue: it must
   // run the same-tick child, stop before t=2, and leave the rest of the
-  // run in the reference order.
+  // run in the reference order. On `cq` there is no switch left to cross,
+  // and the same stops must hold on the queue throughout.
   EventTree tree;
   tree.num_roots = 8;
   for (int i = 0; i < 7; ++i) {
@@ -216,10 +257,13 @@ TEST(CalendarContractTest, RunUntilStopsRightAfterTheSwitch) {
   std::vector<int> expected = ReferenceOrder(tree);
 
   Simulation sim;
+  Prepare(sim);
   TreeDriver driver(&sim, &tree);
   driver.ScheduleRoots();
   ASSERT_EQ(sim.CalendarDepth(), Simulation::kQueueSwitchDepth);
+  EXPECT_EQ(sim.on_calendar_queue(), GetParam() == Start::kQueue);
   sim.RunUntil(1.0);
+  EXPECT_TRUE(sim.on_calendar_queue());
   ASSERT_EQ(driver.log(), std::vector<int>({7, 11}));  // The t=1 root and its t=1 child.
   EXPECT_EQ(sim.Now(), 1.0);
   EXPECT_EQ(sim.CalendarDepth(), 11u);
@@ -228,8 +272,9 @@ TEST(CalendarContractTest, RunUntilStopsRightAfterTheSwitch) {
   EXPECT_EQ(driver.log(), expected);
 }
 
-TEST(CalendarContractTest, FifoTieBreakAcrossInterleavedTimes) {
+TEST_P(CalendarContractTest, FifoTieBreakAcrossInterleavedTimes) {
   Simulation sim;
+  Prepare(sim);
   std::vector<int> log;
   // Interleave registrations across two times; within a time, execution must
   // follow registration order exactly.
@@ -252,12 +297,13 @@ TEST(CalendarContractTest, FifoTieBreakAcrossInterleavedTimes) {
 // from either structure.
 // ---------------------------------------------------------------------------
 
-TEST(CalendarContractTest, AllEqualTimestampsPreserveFifo) {
+TEST_P(CalendarContractTest, AllEqualTimestampsPreserveFifo) {
   // Every event on one tick: the calendar queue degenerates to a single
   // sorted bucket (width adaptation cannot separate equal times), so order
   // is decided purely on seq. Reentrant same-time scheduling must interleave
   // exactly as the reference does.
   Simulation sim;
+  Prepare(sim);
   std::vector<int> log;
   constexpr int kFirstWave = 500;
   for (int i = 0; i < kFirstWave; ++i) {
@@ -281,7 +327,7 @@ TEST(CalendarContractTest, AllEqualTimestampsPreserveFifo) {
   EXPECT_EQ(sim.Now(), 7.0);
 }
 
-TEST(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
+TEST_P(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
   // Times spanning ~10 decades leave nearly every calendar-queue bucket
   // empty and force its direct-search fallback (a whole "year" scan finds
   // nothing due). Expected order: stable sort by time (seq breaks ties by
@@ -302,6 +348,7 @@ TEST(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
                    });
 
   Simulation sim;
+  Prepare(sim);
   std::vector<int> log;
   for (size_t i = 0; i < times.size(); ++i) {
     sim.ScheduleCallback(times[i], [&log, i] { log.push_back(static_cast<int>(i)); });
@@ -310,11 +357,12 @@ TEST(CalendarContractTest, ExponentiallySpreadTimestampsMatchReference) {
   EXPECT_EQ(log, expected);
 }
 
-TEST(CalendarContractTest, PopulationChurnWavesMatchReference) {
+TEST_P(CalendarContractTest, PopulationChurnWavesMatchReference) {
   // Sawtooth population (fill to ~2000, drain to ~50, repeat) drives the
   // calendar queue through repeated grow/shrink resizes while events keep
   // executing; a tree replay per wave cross-checks the full order.
   Simulation sim;
+  const uint64_t primed = Prepare(sim);
   Rng rng(31337);
   std::vector<double> pending;  // Times scheduled but not yet executed.
   std::vector<std::pair<double, int>> executed;
@@ -340,7 +388,7 @@ TEST(CalendarContractTest, PopulationChurnWavesMatchReference) {
   std::vector<std::pair<double, int>> expected = executed;
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(executed, expected);
-  EXPECT_EQ(sim.events_processed(), static_cast<uint64_t>(next_id));
+  EXPECT_EQ(sim.events_processed() - primed, static_cast<uint64_t>(next_id));
 }
 
 // ---------------------------------------------------------------------------
@@ -370,8 +418,9 @@ struct BurstRunResult {
   double now = 0.0;
 };
 
-BurstRunResult RunBurstScenario(bool attach_metrics) {
+BurstRunResult RunBurstScenario(Start start, bool attach_metrics) {
   Simulation sim;
+  StartOn(start, sim);
   obs::MetricsRegistry metrics(true);
   if (attach_metrics) {
     sim.AttachMetrics(&metrics);
@@ -388,8 +437,8 @@ BurstRunResult RunBurstScenario(bool attach_metrics) {
   return result;
 }
 
-TEST(CalendarContractTest, EventBurstResumesWaitersInFifoOrder) {
-  BurstRunResult burst = RunBurstScenario(/*attach_metrics=*/false);
+TEST_P(CalendarContractTest, EventBurstResumesWaitersInFifoOrder) {
+  BurstRunResult burst = RunBurstScenario(GetParam(), /*attach_metrics=*/false);
   ASSERT_EQ(burst.log.size(), 48u);
   // All 16 members resume first (FIFO); then their same-tick follow-ups in
   // seq order — each member registered its callback then its Delay(0)
@@ -402,9 +451,9 @@ TEST(CalendarContractTest, EventBurstResumesWaitersInFifoOrder) {
   EXPECT_EQ(burst.now, 5.0);
 }
 
-TEST(CalendarContractTest, BurstPathMatchesUnbatchedFallbackExactly) {
-  BurstRunResult burst = RunBurstScenario(/*attach_metrics=*/false);
-  BurstRunResult unbatched = RunBurstScenario(/*attach_metrics=*/true);
+TEST_P(CalendarContractTest, BurstPathMatchesUnbatchedFallbackExactly) {
+  BurstRunResult burst = RunBurstScenario(GetParam(), /*attach_metrics=*/false);
+  BurstRunResult unbatched = RunBurstScenario(GetParam(), /*attach_metrics=*/true);
   EXPECT_EQ(burst.log, unbatched.log);
   EXPECT_EQ(burst.events, unbatched.events);
   EXPECT_EQ(burst.now, unbatched.now);
@@ -415,17 +464,19 @@ Process ParkedWaiter(Event& ready, std::vector<int>& log, int id) {
   log.push_back(id);
 }
 
-TEST(CalendarContractTest, BurstParkedAcrossTheSwitch) {
+TEST_P(CalendarContractTest, BurstParkedAcrossTheSwitch) {
   // Sixteen waiters park on one Event, spawned in waves of four so the
   // calendar never reaches the switch depth. Set() parks all sixteen resumes
   // in one burst entry on the heap; the ten callbacks scheduled right after
   // push the calendar past the switch, so the burst entry moves into the
   // queue while pending. It still pops first (lowest seq at t=5). With
   // metrics attached, Set() falls back to sixteen individual entries: the
-  // unbatched reference must produce the same log.
+  // unbatched reference must produce the same log. On `cq` the burst entry
+  // is pushed straight into the queue.
   for (bool attach_metrics : {false, true}) {
     SCOPED_TRACE(attach_metrics ? "unbatched" : "burst");
     Simulation sim;
+    const uint64_t primed = Prepare(sim);
     obs::MetricsRegistry metrics(true);
     if (attach_metrics) {
       sim.AttachMetrics(&metrics);
@@ -439,6 +490,7 @@ TEST(CalendarContractTest, BurstParkedAcrossTheSwitch) {
       sim.Run();
     }
     ASSERT_EQ(sim.CalendarDepth(), 0u);
+    EXPECT_EQ(sim.on_calendar_queue(), GetParam() == Start::kQueue);
     size_t depth_after_set = 0;
     sim.ScheduleCallback(5.0, [&sim, &ready, &log, &depth_after_set] {
       ready.Set();
@@ -449,6 +501,7 @@ TEST(CalendarContractTest, BurstParkedAcrossTheSwitch) {
     });
     sim.Run();
     EXPECT_GE(depth_after_set, Simulation::kQueueSwitchDepth);
+    EXPECT_TRUE(sim.on_calendar_queue());
     std::vector<int> expected;
     for (int id = 0; id < 16; ++id) {
       expected.push_back(id);
@@ -459,7 +512,8 @@ TEST(CalendarContractTest, BurstParkedAcrossTheSwitch) {
       }
     }
     EXPECT_EQ(log, expected);
-    EXPECT_EQ(sim.events_processed(), 16u + 1u + 10u + 16u);  // Spawns, setter, callbacks, resumes.
+    // Spawns, setter, callbacks, resumes.
+    EXPECT_EQ(sim.events_processed() - primed, 16u + 1u + 10u + 16u);
     EXPECT_EQ(sim.live_processes(), 0);
   }
 }
@@ -479,8 +533,9 @@ Process SignalDriver(Signal& pulse, int& rounds) {
   }
 }
 
-TEST(CalendarContractTest, RepeatedSignalBurstsRecycleBurstSlots) {
+TEST_P(CalendarContractTest, RepeatedSignalBurstsRecycleBurstSlots) {
   Simulation sim;
+  Prepare(sim);
   Signal pulse(&sim);
   int rounds = 50;
   std::vector<int> log;
@@ -502,13 +557,15 @@ TEST(CalendarContractTest, RepeatedSignalBurstsRecycleBurstSlots) {
 // 32-bit seq wrap: renormalization keeps the FIFO contract across the wrap.
 // ---------------------------------------------------------------------------
 
-TEST(CalendarContractTest, SeqWrapRenormalizationPreservesFifo) {
+TEST_P(CalendarContractTest, SeqWrapRenormalizationPreservesFifo) {
   // Five early entries leave the wrap to renormalize the heap (it fires on
   // the eighth push, before the switch); twelve have already moved the
-  // calendar to the queue, so the wrap drains and refills the queue.
+  // calendar to the queue, so the wrap drains and refills the queue. On
+  // `cq` both wraps renormalize the queue.
   for (int early : {5, 12}) {
     SCOPED_TRACE("early=" + std::to_string(early));
     Simulation sim;
+    Prepare(sim);
     std::vector<int> log;
     // A few entries with ordinary seqs, then force the counter to the edge
     // so the remaining registrations straddle the wrap mid-scheduling.
@@ -541,8 +598,9 @@ Process WakeRecorder(Simulation& sim, std::vector<double>& wakes) {
   }
 }
 
-TEST(CalendarContractTest, SeqWrapDuringLoneRunnerAdvance) {
+TEST_P(CalendarContractTest, SeqWrapDuringLoneRunnerAdvance) {
   Simulation sim;
+  Prepare(sim);
   sim.SetNextSeqForTest(UINT32_MAX - 1);
   std::vector<double> wakes;
   sim.Spawn(WakeRecorder(sim, wakes));
