@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cache/block_cache.h"
@@ -31,13 +31,17 @@ namespace emsim::core {
 
 namespace {
 
-/// Completion tracker for one batch of fetch ops; kept alive by the request
-/// callbacks via shared_ptr so unsynchronized batches may outlive the stall.
+/// Completion tracker for one batch of fetch ops, in a recycled pool slot
+/// addressed by DiskRequest::batch. An unsynchronized batch outlives the
+/// stall that issued it; the slot is recycled once every span has
+/// completed and the merge no longer waits on it.
 struct Batch {
-  Batch(sim::Simulation* sim, int ops) : remaining(ops), done(sim) {}
-  int remaining;
+  explicit Batch(sim::Simulation* sim) : done(sim) {}
+  int pending = 0;  ///< Spans not yet completed.
   sim::Event done;
 };
+
+constexpr uint32_t kNoBatch = UINT32_MAX;
 
 std::unique_ptr<io::VictimChooser> MakeChooser(VictimPolicy policy) {
   switch (policy) {
@@ -69,8 +73,9 @@ std::unique_ptr<DepletionModel> MakeDepletion(const MergeConfig& config) {
 
 /// All simulation state for one trial. The coroutine MergeLoop drives the
 /// model; Engine members are declared so that the Simulation outlives every
-/// object holding coroutine frames.
-class Engine {
+/// object holding coroutine frames. The engine is the sink of every request
+/// it issues: fetches (directly or through the retry driver) and writes.
+class Engine final : public disk::RequestSink {
  public:
   explicit Engine(const MergeConfig& config)
       : config_(config),
@@ -108,9 +113,6 @@ class Engine {
       health_ = std::make_unique<fault::HealthTracker>(config.num_disks);
       retry_ = std::make_unique<io::FetchRetryDriver>(&sim_, &disks_, health_.get(),
                                                       config.fault.retry, &metrics_);
-      retry_->on_permanent_failure = [this](int disk, const disk::DiskRequest& request) {
-        AbortOnFault(disk, request);
-      };
       metric_degraded_disks_ = &metrics_.GetTimeline("fault.degraded_disks");
     }
     if (config.strategy == Strategy::kAllDisksOneRun) {
@@ -211,13 +213,41 @@ class Engine {
     }
   }
 
-  /// A span exhausted every retry: the run it serves is unreadable. Record
-  /// the Status and wake the merge from every wait it could be parked on so
-  /// it unwinds promptly instead of hanging.
-  void AbortOnFault(int disk, const disk::DiskRequest& request) {
+  void OnBlock(const disk::DiskRequest& request, int i) override {
+    if (request.kind == disk::RequestKind::kWrite) {
+      return;  // Output leaving memory; only fetched blocks enter the cache.
+    }
+    cache_.Deposit(request.run, request.first_offset + i * request.offset_stride);
+    if (config_.check_invariants) {
+      cache_.CheckInvariants();
+    }
+  }
+
+  void OnComplete(const disk::DiskRequest& request) override {
+    if (request.kind == disk::RequestKind::kWrite) {
+      write_outstanding_ -= request.nblocks;
+      EMSIM_DCHECK(write_outstanding_ >= 0);
+      write_drain_->Fire();
+      return;
+    }
+    Batch& batch = batches_[request.batch];
+    if (--batch.pending == 0) {
+      batch.done.Set();
+      if (awaited_batch_ != request.batch) {
+        ReleaseBatch(request.batch);
+      }
+    }
+  }
+
+  /// A span exhausted every retry (reported by the retry driver): the run
+  /// it serves is unreadable. Record the Status and wake the merge from
+  /// every wait it could be parked on so it unwinds promptly instead of
+  /// hanging.
+  void OnError(const disk::DiskRequest& request) override {
     if (fault_abort_) {
       return;
     }
+    const int disk = layout_.Locate(request.run, request.first_offset).disk;
     fault_abort_ = true;
     fault_status_ = Status::IoError(StrFormat(
         "run unreadable: disk %d span at block %lld (%d blocks) failed after %d retries", disk,
@@ -225,8 +255,8 @@ class Engine {
         config_.fault.retry.max_retries));
     result_.fault.permanent_failures = retry_->stats().permanent_failures;
     health_->MarkDead(disk);
-    if (awaited_batch_ != nullptr) {
-      awaited_batch_->done.Set();
+    if (awaited_batch_ != kNoBatch) {
+      batches_[awaited_batch_].done.Set();
     }
     for (int r = 0; r < config_.num_runs; ++r) {
       cache_.DepositSignal(r).Fire();
@@ -253,68 +283,96 @@ class Engine {
     return ctx;
   }
 
-  /// Applies the cache admission policy to a wish list; reserves frames for
-  /// every returned op. Sets `full` when the entire wish list was admitted.
-  std::vector<io::FetchOp> Admit(std::vector<io::FetchOp> wish, bool* full) {
+  /// Applies the cache admission policy to the wish list in `ops_`, in
+  /// place; reserves frames for every op left. Returns true when the entire
+  /// wish list was admitted.
+  bool Admit() {
+    std::vector<io::FetchOp>& ops = ops_;
     int64_t total = 0;
-    for (const auto& op : wish) {
+    for (const auto& op : ops) {
       total += op.nblocks;
     }
     if (cache_.FreeBlocks() >= total) {
-      for (const auto& op : wish) {
+      for (const auto& op : ops) {
         EMSIM_CHECK(cache_.TryReserve(op.run, op.nblocks));
       }
-      *full = true;
-      return wish;
+      return true;
     }
-    *full = false;
-    EMSIM_CHECK(!wish.empty() && wish.front().is_demand);
+    EMSIM_CHECK(!ops.empty() && ops.front().is_demand);
     if (config_.admission == AdmissionPolicy::kConservative) {
       // The paper's policy: fetch only the demand block; resume full
       // prefetching once depletions have freed enough frames.
-      io::FetchOp op = wish.front();
-      op.nblocks = 1;
-      EMSIM_CHECK(cache_.TryReserve(op.run, op.nblocks));
-      return {op};
+      ops.resize(1);
+      ops.front().nblocks = 1;
+      EMSIM_CHECK(cache_.TryReserve(ops.front().run, 1));
+      return false;
     }
     // Greedy: demand op first, then prefetch ops in random order, each
     // trimmed to the frames still free.
-    std::vector<io::FetchOp> admitted;
-    io::FetchOp demand = wish.front();
+    io::FetchOp& demand = ops.front();
     demand.nblocks = std::min<int64_t>(demand.nblocks, std::max<int64_t>(cache_.FreeBlocks(), 1));
     EMSIM_CHECK(cache_.TryReserve(demand.run, demand.nblocks));
-    admitted.push_back(demand);
-    std::vector<io::FetchOp> rest(wish.begin() + 1, wish.end());
-    auto perm = planner_rng_.Permutation(static_cast<uint32_t>(rest.size()));
-    for (uint32_t idx : perm) {
-      io::FetchOp op = rest[idx];
+    rest_.assign(ops.begin() + 1, ops.end());
+    ops.resize(1);
+    planner_rng_.Permutation(static_cast<uint32_t>(rest_.size()), &perm_);
+    for (uint32_t idx : perm_) {
+      io::FetchOp op = rest_[idx];
       int64_t free = cache_.FreeBlocks();
       if (free <= 0) {
         break;
       }
       op.nblocks = std::min<int64_t>(op.nblocks, free);
       EMSIM_CHECK(cache_.TryReserve(op.run, op.nblocks));
-      admitted.push_back(op);
+      ops.push_back(op);
     }
-    return admitted;
+    return false;
   }
 
-  /// Submits admitted ops to their disks, advancing fetch offsets and wiring
-  /// deposits + batch completion. Each op may span several disks under
-  /// striped placement; the batch completes when every span does. Returns
-  /// the batch tracker.
-  std::shared_ptr<Batch> IssueOps(const std::vector<io::FetchOp>& ops) {
-    struct Pending {
-      int disk;
-      disk::DiskRequest request;
-    };
-    std::vector<Pending> pending;
-    for (const auto& op : ops) {
+  uint32_t AcquireBatch() {
+    if (free_batches_.empty()) {
+      batches_.emplace_back(&sim_);
+      return static_cast<uint32_t>(batches_.size() - 1);
+    }
+    const uint32_t b = free_batches_.back();
+    free_batches_.pop_back();
+    return b;
+  }
+
+  void ReleaseBatch(uint32_t b) {
+    batches_[b].done.Reset();
+    free_batches_.push_back(b);
+  }
+
+  /// Parks the merge on batch `b`: `co_await AwaitBatch(b)`, then
+  /// StopAwaiting(b).
+  sim::Event::Awaiter AwaitBatch(uint32_t b) {
+    awaited_batch_ = b;
+    return batches_[b].done.Wait();
+  }
+
+  /// The merge no longer waits on batch `b`: woken by its completion, or by
+  /// a fault abort while spans are still out (the last span then recycles
+  /// the slot).
+  void StopAwaiting(uint32_t b) {
+    awaited_batch_ = kNoBatch;
+    if (batches_[b].pending == 0) {
+      ReleaseBatch(b);
+    }
+  }
+
+  /// Submits the ops in `ops_` to their disks, advancing fetch offsets and
+  /// wiring deposits + batch completion. Each op may span several disks
+  /// under striped placement; the batch completes when every span does.
+  /// Returns the batch slot.
+  uint32_t IssueOps() {
+    const uint32_t b = AcquireBatch();
+    for (const auto& op : ops_) {
       io::RunState& state = runs_[op.run];
       EMSIM_CHECK_EQ(op.offset, state.next_fetch_offset);
       state.next_fetch_offset += op.nblocks;
 
-      for (const disk::RunLayout::Span& span : layout_.Spans(op.run, op.offset, op.nblocks)) {
+      layout_.SpansInto(op.run, op.offset, op.nblocks, &spans_);
+      for (const disk::RunLayout::Span& span : spans_) {
         disk::DiskRequest request;
         request.start_block = span.local_start;
         request.nblocks = static_cast<int>(span.nblocks);
@@ -322,39 +380,30 @@ class Engine {
         request.kind = op.is_demand && span.first_offset == op.offset
                            ? disk::RequestKind::kDemand
                            : disk::RequestKind::kPrefetch;
-        request.on_block = [this, run = op.run, first = span.first_offset,
-                            stride = span.offset_stride](int i) {
-          cache_.Deposit(run, first + i * stride);
-          if (config_.check_invariants) {
-            cache_.CheckInvariants();
-          }
-        };
-        pending.push_back(Pending{span.disk, std::move(request)});
-      }
-    }
-    auto batch = std::make_shared<Batch>(&sim_, static_cast<int>(pending.size()));
-    for (Pending& p : pending) {
-      p.request.on_complete = [batch] {
-        if (--batch->remaining == 0) {
-          batch->done.Set();
+        request.sink = this;
+        request.run = op.run;
+        request.first_offset = span.first_offset;
+        request.offset_stride = span.offset_stride;
+        request.batch = b;
+        ++batches_[b].pending;
+        if (retry_ != nullptr) {
+          retry_->Submit(span.disk, request);
+        } else {
+          disks_.Submit(span.disk, request);
         }
-      };
-      if (retry_ != nullptr) {
-        retry_->Submit(p.disk, std::move(p.request));
-      } else {
-        disks_.Submit(p.disk, std::move(p.request));
       }
     }
-    return batch;
+    return b;
   }
 
   /// Loads the cache with N blocks from each run (the paper's initial
   /// state), degrading to one block per run when the cache is tight.
-  std::shared_ptr<Batch> IssuePreload() {
+  uint32_t IssuePreload() {
     // Two passes so that a tight cache still yields the mandatory one block
     // per run: first a block for everyone, then top up toward N while
     // frames remain.
-    std::vector<io::FetchOp> ops;
+    std::vector<io::FetchOp>& ops = ops_;
+    ops.clear();
     for (int r = 0; r < config_.num_runs; ++r) {
       io::FetchOp op;
       op.run = r;
@@ -372,7 +421,7 @@ class Engine {
         op.nblocks += extra;
       }
     }
-    return IssueOps(ops);
+    return IssueOps();
   }
 
   /// Sends the buffered output blocks as one write request (round-robin
@@ -389,17 +438,13 @@ class Engine {
     write_next_block_[target] += nblocks;
     request.nblocks = nblocks;
     request.kind = disk::RequestKind::kWrite;
-    request.on_complete = [this, nblocks] {
-      write_outstanding_ -= nblocks;
-      EMSIM_DCHECK(write_outstanding_ >= 0);
-      write_drain_->Fire();
-    };
+    request.sink = this;
     ++result_.write_requests;
     result_.write_blocks += static_cast<uint64_t>(nblocks);
     if (write_disks_ != nullptr) {
-      write_disks_->Submit(static_cast<int>(target), std::move(request));
+      write_disks_->Submit(static_cast<int>(target), request);
     } else {
-      disks_.Submit(static_cast<int>(target), std::move(request));
+      disks_.Submit(static_cast<int>(target), request);
     }
   }
 
@@ -413,10 +458,9 @@ class Engine {
   sim::Process MergeLoop() {
     // Initial state: the cache holds (up to) N blocks of every run.
     {
-      auto preload = IssuePreload();
-      awaited_batch_ = preload;
-      co_await preload->done.Wait();
-      awaited_batch_ = nullptr;
+      const uint32_t preload = IssuePreload();
+      co_await AwaitBatch(preload);
+      StopAwaiting(preload);
     }
 
     int64_t remaining = layout_.TotalBlocks();
@@ -494,16 +538,14 @@ class Engine {
                                            static_cast<double>(
                                                health_->DegradedCount(sim_.Now())));
           }
-          bool full = false;
-          std::vector<io::FetchOp> admitted = Admit(planner_->Plan(PlannerContext(), run), &full);
-          if (full && !degraded) {
+          planner_->Plan(PlannerContext(), run, &ops_);
+          if (Admit() && !degraded) {
             ++result_.full_admissions;
           }
-          auto batch = IssueOps(admitted);
+          const uint32_t batch = IssueOps();
           if (config_.sync == SyncMode::kSynchronized) {
-            awaited_batch_ = batch;
-            co_await batch->done.Wait();
-            awaited_batch_ = nullptr;
+            co_await AwaitBatch(batch);
+            StopAwaiting(batch);
           } else {
             while (!fault_abort_ && !cache_.HasLeadingBlock(run)) {
               co_await cache_.DepositSignal(run).Wait();
@@ -600,11 +642,21 @@ class Engine {
   obs::Counter* metric_stalls_ = nullptr;
   obs::Gauge* metric_stall_ms_ = nullptr;
 
+  // Fetch-path state, reused by every fetch so a fetch allocates nothing
+  // once the buffers and the batch pool have grown. A deque keeps each
+  // Batch's Event in place while the merge waits on it.
+  std::vector<io::FetchOp> ops_;
+  std::vector<io::FetchOp> rest_;
+  std::vector<uint32_t> perm_;
+  std::vector<disk::RunLayout::Span> spans_;
+  std::deque<Batch> batches_;
+  std::vector<uint32_t> free_batches_;
+  uint32_t awaited_batch_ = kNoBatch;  ///< The batch the merge is parked on.
+
   // Fault machinery (all null/false without injection).
   std::unique_ptr<fault::HealthTracker> health_;
   std::unique_ptr<io::FetchRetryDriver> retry_;
   obs::Timeline* metric_degraded_disks_ = nullptr;
-  std::shared_ptr<Batch> awaited_batch_;
   bool fault_abort_ = false;
   Status fault_status_;
 

@@ -17,14 +17,7 @@ DiskArray::DiskArray(sim::Simulation* sim, const Options& options) : sim_(sim) {
   disks_.reserve(static_cast<size_t>(options.num_disks));
   for (int i = 0; i < options.num_disks; ++i) {
     auto d = std::make_unique<Disk>(sim, options.params, i, seeder.Next64());
-    d->on_busy_changed = [this](int /*disk_id*/, bool busy) {
-      busy_count_ += busy ? 1 : -1;
-      EMSIM_DCHECK(busy_count_ >= 0 && busy_count_ <= num_disks());
-      concurrency_.Update(sim_->Now(), busy_count_);
-      if (metric_concurrency_ != nullptr) {
-        metric_concurrency_->Update(sim_->Now(), busy_count_);
-      }
-    };
+    d->SetBusyObserver(this);
     if (options.metrics != nullptr) {
       d->AttachMetrics(options.metrics);
     }
@@ -38,6 +31,15 @@ DiskArray::DiskArray(sim::Simulation* sim, const Options& options) : sim_(sim) {
     metric_concurrency_->Update(sim->Now(), 0.0);
   }
   concurrency_.Update(sim->Now(), 0.0);
+}
+
+void DiskArray::OnBusyChanged(int /*disk_id*/, bool busy) {
+  busy_count_ += busy ? 1 : -1;
+  EMSIM_DCHECK(busy_count_ >= 0 && busy_count_ <= num_disks());
+  concurrency_.Update(sim_->Now(), busy_count_);
+  if (metric_concurrency_ != nullptr) {
+    metric_concurrency_->Update(sim_->Now(), busy_count_);
+  }
 }
 
 void DiskArray::Start() {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "disk/disk.h"
@@ -20,7 +19,7 @@ namespace emsim::disk {
 /// The channel between the I/O subsystem and memory is assumed wide enough
 /// for all disks to transfer at once (the paper's assumption), so the array
 /// imposes no cross-disk contention — it only observes it.
-class DiskArray {
+class DiskArray : private BusyObserver {
  public:
   struct Options {
     DiskParams params;
@@ -50,7 +49,7 @@ class DiskArray {
   Disk& disk(int i) { return *disks_.at(static_cast<size_t>(i)); }
   const Disk& disk(int i) const { return *disks_.at(static_cast<size_t>(i)); }
 
-  void Submit(int disk_id, DiskRequest request) { disk(disk_id).Submit(std::move(request)); }
+  void Submit(int disk_id, const DiskRequest& request) { disk(disk_id).Submit(request); }
 
   /// Number of disks busy right now.
   int BusyDisks() const { return busy_count_; }
@@ -78,6 +77,8 @@ class DiskArray {
   void FlushStats();
 
  private:
+  void OnBusyChanged(int disk_id, bool busy) override;
+
   sim::Simulation* sim_;
   std::vector<std::unique_ptr<Disk>> disks_;
   int busy_count_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <utility>
 
 #include "disk/disk_params.h"
 #include "util/check.h"
@@ -31,7 +30,7 @@ void Disk::AttachMetrics(obs::MetricsRegistry* metrics) {
   metric_requests_ = &metrics->GetCounter("disk.requests");
   metric_blocks_ = &metrics->GetCounter("disk.blocks_transferred");
   metric_busy_->Update(sim_->Now(), busy_ ? 1.0 : 0.0);
-  metric_queue_->Update(sim_->Now(), static_cast<double>(queue_.size()));
+  metric_queue_->Update(sim_->Now(), static_cast<double>(QueueLength()));
 }
 
 void Disk::FlushLocalStats() {
@@ -59,24 +58,31 @@ void Disk::Stop() {
   work_.Fire();
 }
 
-void Disk::Submit(DiskRequest request) {
+void Disk::Submit(const DiskRequest& request) {
   EMSIM_CHECK(started_ && "Submit before Start");
   EMSIM_CHECK(!stopping_ && "Submit after Stop");
   EMSIM_CHECK(request.nblocks >= 1);
-  request.id = next_request_id_++;
-  request.enqueue_time = sim_->Now();
-  queue_.push_back(std::move(request));
-  stats_.max_queue_length = std::max(stats_.max_queue_length, queue_.size());
+  EMSIM_CHECK(!request.fallible || request.sink != nullptr);
+  if (queue_head_ > 0 && queue_.size() == queue_.capacity()) {
+    // Reclaim the served prefix instead of growing the buffer.
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
+  }
+  queue_.push_back(request);
+  DiskRequest& queued = queue_.back();
+  queued.id = next_request_id_++;
+  queued.enqueue_time = sim_->Now();
+  stats_.max_queue_length = std::max(stats_.max_queue_length, QueueLength());
   NoteQueueLength();
   work_.Fire();
 }
 
 DiskRequest Disk::PopNext() {
-  EMSIM_CHECK(!queue_.empty());
-  size_t pick = 0;
+  EMSIM_CHECK(QueueLength() > 0);
+  size_t pick = queue_head_;
   if (mechanism_.params().scheduling == SchedulingPolicy::kSstf) {
-    int64_t best = mechanism_.SeekDistanceTo(queue_[0].start_block);
-    for (size_t i = 1; i < queue_.size(); ++i) {
+    int64_t best = mechanism_.SeekDistanceTo(queue_[pick].start_block);
+    for (size_t i = queue_head_ + 1; i < queue_.size(); ++i) {
       int64_t d = mechanism_.SeekDistanceTo(queue_[i].start_block);
       if (d < best) {
         best = d;
@@ -84,18 +90,22 @@ DiskRequest Disk::PopNext() {
       }
     }
   }
-  DiskRequest req = std::move(queue_[pick]);
-  if (pick == 0) {
-    queue_.pop_front();  // FCFS and front-winning SSTF: O(1), no shifting.
+  DiskRequest req = queue_[pick];
+  if (pick == queue_head_) {
+    ++queue_head_;  // FCFS and front-winning SSTF: O(1), no shifting.
   } else {
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  if (queue_head_ == queue_.size()) {
+    queue_.clear();
+    queue_head_ = 0;
   }
   return req;
 }
 
 sim::Process Disk::Serve() {
   for (;;) {
-    while (queue_.empty()) {
+    while (QueueLength() == 0) {
       if (stopping_) {
         co_return;
       }
@@ -135,9 +145,6 @@ sim::Process Disk::Serve() {
     }
 
     AccessCost cost = mechanism_.Access(req.start_block, req.nblocks, rng_, sim_->Now());
-    if (on_request_served) {
-      on_request_served(req, cost);
-    }
     stats_.seek_ms += cost.seek_ms;
     stats_.rotation_ms += cost.rotation_ms;
     stats_.transfer_ms += cost.transfer_ms;
@@ -161,10 +168,10 @@ sim::Process Disk::Serve() {
       if (verdict.extra_latency_ms > 0) {
         ++stats_.latency_spikes;
       }
-      // Requests without an error handler cannot be failed usefully (the
-      // issuer would never observe it); their verdict still consumes the
-      // same stream draws so handler presence never shifts later verdicts.
-      media_error = verdict.media_error && req.on_error != nullptr;
+      // Infallible requests cannot be failed usefully (the issuer would
+      // never observe it); their verdict still consumes the same stream
+      // draws so fallibility never shifts later verdicts.
+      media_error = verdict.media_error && req.fallible;
       const double service_ms =
           media_error ? positioning_ms : positioning_ms + per_block * req.nblocks;
       stats_.fault_extra_ms += service_ms - (media_error ? 0.0 : base_service_ms);
@@ -179,7 +186,7 @@ sim::Process Disk::Serve() {
       if (req.progress != nullptr) {
         req.progress->phase = RequestPhase::kFailed;
       }
-      req.on_error();
+      req.sink->OnError(req);
       SetBusy(false);
       continue;
     }
@@ -189,15 +196,15 @@ sim::Process Disk::Serve() {
       if (metric_blocks_ != nullptr) {
         metric_blocks_->Increment();
       }
-      if (req.on_block) {
-        req.on_block(i);
+      if (req.sink != nullptr) {
+        req.sink->OnBlock(req, i);
       }
     }
     if (req.progress != nullptr) {
       req.progress->phase = RequestPhase::kDone;
     }
-    if (req.on_complete) {
-      req.on_complete();
+    if (req.sink != nullptr) {
+      req.sink->OnComplete(req);
     }
     SetBusy(false);
   }
@@ -207,7 +214,7 @@ std::string Disk::ToString() const {
   return StrFormat("Disk%d{requests=%llu, blocks=%llu, busy=%.1f ms, queue=%zu}", id_,
                    static_cast<unsigned long long>(stats_.requests),
                    static_cast<unsigned long long>(stats_.blocks_transferred), stats_.BusyMs(),
-                   queue_.size());
+                   QueueLength());
 }
 
 }  // namespace emsim::disk

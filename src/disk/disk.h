@@ -3,10 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "disk/disk_params.h"
 #include "disk/mechanism.h"
@@ -33,12 +32,12 @@ enum class RequestKind {
 enum class RequestPhase {
   kQueued,   ///< Submitted; not yet picked by the server.
   kServing,  ///< Non-preemptively in service.
-  kDone,     ///< All blocks delivered, on_complete fired.
-  kFailed,   ///< Injected media error; on_error fired, no blocks delivered.
+  kDone,     ///< All blocks delivered, OnComplete sent.
+  kFailed,   ///< Injected media error; OnError sent, no blocks delivered.
 };
 
-/// Shared progress cell for one request attempt. The issuer keeps a
-/// reference so its timeout watchdog can see how far the attempt got; it
+/// Progress cell for one request attempt, owned by the issuer. The issuer
+/// keeps it so its timeout watchdog can see how far the attempt got; it
 /// sets `abandoned` to disown an attempt that is still queued (the disk
 /// drops it unserved — there is no preemption of an attempt in service).
 struct RequestProgress {
@@ -46,29 +45,64 @@ struct RequestProgress {
   bool abandoned = false;
 };
 
-/// One read request for `nblocks` contiguous disk-local blocks. The disk
-/// delivers blocks one at a time: `on_block(i)` fires when the i-th block's
-/// transfer completes (this is how unsynchronized prefetching lets the CPU
-/// resume after the first block), and `on_complete` fires after the last.
-/// Callbacks run in the disk server's process context; they must not block.
+class RequestSink;
+
+/// One request for `nblocks` contiguous disk-local blocks, as plain data:
+/// queueing, copying and delivering it never touches the heap. The disk
+/// reports to `sink`: `OnBlock(req, i)` when the i-th block's transfer
+/// completes (this is how unsynchronized prefetching lets the CPU resume
+/// after the first block) and `OnComplete(req)` after the last. A null sink
+/// receives nothing. Sink calls run in the disk server's process context;
+/// they must not block.
 ///
-/// Fault-aware issuers may attach `progress` (attempt tracking) and
-/// `on_error` (invoked instead of on_block/on_complete when an injected
-/// media error fails the request). Requests without an `on_error` handler
-/// are never failed by the injector — their issuer could not observe it —
+/// Only a `fallible` request can be failed by an injected media error; its
+/// sink then gets `OnError(req)` instead of any block or completion. Other
+/// requests are never failed, since their issuer would not observe it,
 /// though timing faults (fail-slow, spikes, fail-stop) still apply.
+/// A fault-aware issuer may also attach a `progress` cell it owns.
+///
+/// `run` through `cookie` are the issuer's routing data; the disk never
+/// reads them.
 struct DiskRequest {
   int64_t start_block = 0;
   int nblocks = 1;
   RequestKind kind = RequestKind::kDemand;
-  std::function<void(int)> on_block;
-  std::function<void()> on_complete;
-  std::function<void()> on_error;
-  std::shared_ptr<RequestProgress> progress;
+  RequestSink* sink = nullptr;
+  bool fallible = false;
+  int run = 0;                ///< Run the blocks belong to.
+  int64_t first_offset = 0;   ///< Run offset of block 0 of the request.
+  int64_t offset_stride = 1;  ///< Run-offset step between blocks.
+  uint32_t batch = 0;         ///< Issuer's completion-tracker slot.
+  uint32_t cookie = 0;        ///< Issuer's own slot (e.g. a retry job).
+  RequestProgress* progress = nullptr;
 
   // Filled in by Disk::Submit.
   uint64_t id = 0;
   sim::SimTime enqueue_time = 0;
+};
+
+static_assert(std::is_trivially_copyable_v<DiskRequest>,
+              "disk requests are plain data; queueing one must not allocate");
+
+/// Receives a disk's per-request outcomes (see DiskRequest).
+class RequestSink {
+ public:
+  virtual void OnBlock(const DiskRequest& request, int i) = 0;
+  virtual void OnComplete(const DiskRequest& request) = 0;
+  virtual void OnError(const DiskRequest& request) = 0;
+
+ protected:
+  ~RequestSink() = default;
+};
+
+/// Told of every busy/idle transition of a disk; DiskArray implements it to
+/// maintain the cross-disk concurrency statistic.
+class BusyObserver {
+ public:
+  virtual void OnBusyChanged(int disk_id, bool busy) = 0;
+
+ protected:
+  ~BusyObserver() = default;
 };
 
 /// Cumulative per-disk statistics.
@@ -125,11 +159,11 @@ class Disk {
   void Stop();
 
   /// Enqueues a request. May be called from any process at any time.
-  void Submit(DiskRequest request);
+  void Submit(const DiskRequest& request);
 
   int id() const { return id_; }
   bool busy() const { return busy_; }
-  size_t QueueLength() const { return queue_.size(); }
+  size_t QueueLength() const { return queue_.size() - queue_head_; }
   const DiskStats& stats() const { return stats_; }
   const Mechanism& mechanism() const { return mechanism_; }
 
@@ -156,14 +190,9 @@ class Disk {
   /// outlive the disk. Call before the simulation runs.
   void SetFaultPlan(fault::FaultPlan* plan) { faults_ = plan; }
 
-  /// Observer invoked on busy-state transitions; wired by DiskArray to
-  /// maintain the cross-disk concurrency statistic.
-  std::function<void(int disk_id, bool busy)> on_busy_changed;
-
-  /// Observer invoked when a request enters service, with its priced cost —
-  /// the hook for tracing and for statistical validation of the seek model
-  /// (e.g. chi-square against the Kwan-Baer distribution).
-  std::function<void(const DiskRequest&, const AccessCost&)> on_request_served;
+  /// Registers the observer told of busy-state transitions (nullptr
+  /// detaches). It must outlive the disk.
+  void SetBusyObserver(BusyObserver* observer) { busy_observer_ = observer; }
 
   std::string ToString() const;
 
@@ -184,15 +213,15 @@ class Disk {
     if (metric_busy_ != nullptr) {
       metric_busy_->Update(sim_->Now(), busy ? 1.0 : 0.0);
     }
-    if (on_busy_changed) {
-      on_busy_changed(id_, busy);
+    if (busy_observer_ != nullptr) {
+      busy_observer_->OnBusyChanged(id_, busy);
     }
   }
 
   void NoteQueueLength() {
-    queue_timeline_.Update(sim_->Now(), static_cast<double>(queue_.size()));
+    queue_timeline_.Update(sim_->Now(), static_cast<double>(QueueLength()));
     if (metric_queue_ != nullptr) {
-      metric_queue_->Update(sim_->Now(), static_cast<double>(queue_.size()));
+      metric_queue_->Update(sim_->Now(), static_cast<double>(QueueLength()));
     }
   }
 
@@ -201,7 +230,12 @@ class Disk {
   Mechanism mechanism_;
   fault::FaultPlan* faults_ = nullptr;
   Rng rng_;
-  std::deque<DiskRequest> queue_;
+  BusyObserver* busy_observer_ = nullptr;
+  /// Pending requests are queue_[queue_head_, size) in arrival order. The
+  /// served prefix is dropped when the queue drains, or compacted away when
+  /// a push finds the buffer full, so a steady state reuses one buffer.
+  std::vector<DiskRequest> queue_;
+  size_t queue_head_ = 0;
   sim::Signal work_;
   DiskStats stats_;
   uint64_t next_request_id_ = 0;

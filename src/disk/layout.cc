@@ -18,6 +18,23 @@ RunLayout::RunLayout(const Options& options) : options_(options) {
       EMSIM_CHECK(b >= 1);
     }
   }
+  if (striped()) {
+    return;
+  }
+  runs_of_.resize(static_cast<size_t>(options.num_disks));
+  start_block_.resize(static_cast<size_t>(options.num_runs));
+  // Runs are placed on their disk in increasing id order, so a run starts
+  // where the runs before it on the same disk end. Saturate instead of
+  // overflowing; oversized layouts fail Validate().
+  std::vector<int64_t> disk_end(static_cast<size_t>(options.num_disks), 0);
+  for (int r = 0; r < options.num_runs; ++r) {
+    const size_t d = static_cast<size_t>(DiskOf(r));
+    runs_of_[d].push_back(r);
+    start_block_[static_cast<size_t>(r)] = disk_end[d];
+    if (__builtin_add_overflow(disk_end[d], RunBlocks(r), &disk_end[d])) {
+      disk_end[d] = std::numeric_limits<int64_t>::max();
+    }
+  }
 }
 
 int64_t RunLayout::RunBlocks(int run) const {
@@ -49,22 +66,6 @@ int64_t RunLayout::TotalBlocks() const {
     }
   }
   return total;
-}
-
-int64_t RunLayout::StartBlockOnDisk(int run) const {
-  if (options_.run_blocks.empty()) {
-    return static_cast<int64_t>(IndexOnDisk(run)) * options_.blocks_per_run;
-  }
-  // Sum the lengths of earlier runs placed on the same disk.
-  int64_t start = 0;
-  int disk = DiskOf(run);
-  int index = IndexOnDisk(run);
-  for (int r = 0; r < options_.num_runs; ++r) {
-    if (DiskOf(r) == disk && IndexOnDisk(r) < index) {
-      start += RunBlocks(r);
-    }
-  }
-  return start;
 }
 
 Status RunLayout::Validate() const {
@@ -103,7 +104,7 @@ Status RunLayout::Validate() const {
 
 int RunLayout::DiskOf(int run) const {
   EMSIM_DCHECK(run >= 0 && run < options_.num_runs);
-  EMSIM_CHECK(!striped() && "DiskOf is undefined for striped runs; use Locate/Spans");
+  EMSIM_CHECK(!striped() && "DiskOf is undefined for striped runs; use Locate/SpansInto");
   switch (options_.placement) {
     case RunPlacement::kRoundRobin:
       return run % options_.num_disks;
@@ -118,47 +119,20 @@ int RunLayout::DiskOf(int run) const {
   return 0;
 }
 
-int RunLayout::IndexOnDisk(int run) const {
-  EMSIM_DCHECK(run >= 0 && run < options_.num_runs);
-  EMSIM_CHECK(!striped() && "IndexOnDisk is undefined for striped runs");
-  switch (options_.placement) {
-    case RunPlacement::kRoundRobin:
-      return run / options_.num_disks;
-    case RunPlacement::kBlocked: {
-      int per_disk = (options_.num_runs + options_.num_disks - 1) / options_.num_disks;
-      return run % per_disk;
-    }
-    case RunPlacement::kStriped:
-      break;
-  }
-  return 0;
-}
-
 int RunLayout::RunsOnDisk(int disk) const {
-  EMSIM_DCHECK(disk >= 0 && disk < options_.num_disks);
-  int count = 0;
-  for (int r = 0; r < options_.num_runs; ++r) {
-    if (DiskOf(r) == disk) {
-      ++count;
-    }
-  }
-  return count;
+  return static_cast<int>(RunsOf(disk).size());
 }
 
-std::vector<int> RunLayout::RunsOf(int disk) const {
-  std::vector<int> runs;
-  for (int r = 0; r < options_.num_runs; ++r) {
-    if (DiskOf(r) == disk) {
-      runs.push_back(r);
-    }
-  }
-  return runs;
+const std::vector<int>& RunLayout::RunsOf(int disk) const {
+  EMSIM_DCHECK(disk >= 0 && disk < options_.num_disks);
+  EMSIM_CHECK(!striped() && "RunsOf is undefined for striped runs");
+  return runs_of_[static_cast<size_t>(disk)];
 }
 
 int64_t RunLayout::LocalBlock(int run, int64_t offset) const {
   EMSIM_DCHECK(offset >= 0 && offset < RunBlocks(run));
   EMSIM_CHECK(!striped() && "LocalBlock is per-disk for striped runs; use Locate");
-  return StartBlockOnDisk(run) + offset;
+  return start_block_[static_cast<size_t>(run)] + offset;
 }
 
 RunLayout::Location RunLayout::Locate(int run, int64_t offset) const {
@@ -173,10 +147,11 @@ RunLayout::Location RunLayout::Locate(int run, int64_t offset) const {
   return loc;
 }
 
-std::vector<RunLayout::Span> RunLayout::Spans(int run, int64_t offset,
-                                              int64_t nblocks) const {
+void RunLayout::SpansInto(int run, int64_t offset, int64_t nblocks,
+                          std::vector<Span>* out) const {
   EMSIM_CHECK(nblocks >= 1);
-  std::vector<Span> spans;
+  std::vector<Span>& spans = *out;
+  spans.clear();
   if (!striped()) {
     Span span;
     span.disk = DiskOf(run);
@@ -185,7 +160,7 @@ std::vector<RunLayout::Span> RunLayout::Spans(int run, int64_t offset,
     span.first_offset = offset;
     span.offset_stride = 1;
     spans.push_back(span);
-    return spans;
+    return;
   }
   int d = options_.num_disks;
   for (int residue = 0; residue < d; ++residue) {
@@ -203,7 +178,6 @@ std::vector<RunLayout::Span> RunLayout::Spans(int run, int64_t offset,
     span.local_start = Locate(run, first).local_block;
     spans.push_back(span);
   }
-  return spans;
 }
 
 int64_t RunLayout::CylinderOf(int run, int64_t offset) const {

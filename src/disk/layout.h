@@ -60,17 +60,14 @@ class RunLayout {
   /// Disk storing run `run`.
   int DiskOf(int run) const;
 
-  /// Position of `run` among the runs of its disk (0-based placement order).
-  int IndexOnDisk(int run) const;
-
   /// Number of runs stored on `disk`.
   int RunsOnDisk(int disk) const;
 
-  /// The runs stored on `disk`, in placement order.
-  std::vector<int> RunsOf(int disk) const;
+  /// The runs stored on `disk`, in placement order (cached at construction).
+  const std::vector<int>& RunsOf(int disk) const;
 
   /// Disk-local block index of block `offset` of run `run`. For striped
-  /// placement the owning disk varies per offset — use Locate/Spans.
+  /// placement the owning disk varies per offset — use Locate/SpansInto.
   int64_t LocalBlock(int run, int64_t offset) const;
 
   /// Disk-local cylinder of block `offset` of run `run`.
@@ -96,8 +93,9 @@ class RunLayout {
   };
 
   /// Splits a logical read of `nblocks` run blocks starting at `offset`
-  /// into per-disk contiguous spans (a single span on contiguous layouts).
-  std::vector<Span> Spans(int run, int64_t offset, int64_t nblocks) const;
+  /// into per-disk contiguous spans (a single span on contiguous layouts),
+  /// replacing the contents of `*out` (a caller-owned, reused buffer).
+  void SpansInto(int run, int64_t offset, int64_t nblocks, std::vector<Span>* out) const;
 
   bool striped() const { return options_.placement == RunPlacement::kStriped; }
 
@@ -110,10 +108,11 @@ class RunLayout {
   std::string ToString() const;
 
  private:
-  /// Disk-local block at which `run` starts.
-  int64_t StartBlockOnDisk(int run) const;
-
   Options options_;
+  /// Per-disk run lists and each run's disk-local start block, computed
+  /// once (both empty for striped placement, where a run has no home disk).
+  std::vector<std::vector<int>> runs_of_;
+  std::vector<int64_t> start_block_;
 };
 
 }  // namespace emsim::disk

@@ -41,9 +41,11 @@ class DemandOnlyPlanner final : public PrefetchPlanner {
  public:
   explicit DemandOnlyPlanner(int n) : n_(n) { EMSIM_CHECK(n >= 1); }
 
-  std::vector<FetchOp> Plan(const VictimChooser::Context& ctx, int demand_run) override {
-    return {MakeOp(*ctx.runs, demand_run, DemandDepth(ctx, demand_run, n_),
-                   /*is_demand=*/true)};
+  void Plan(const VictimChooser::Context& ctx, int demand_run,
+            std::vector<FetchOp>* ops) override {
+    ops->clear();
+    ops->push_back(MakeOp(*ctx.runs, demand_run, DemandDepth(ctx, demand_run, n_),
+                          /*is_demand=*/true));
   }
 
   std::string name() const override { return StrFormat("demand-only(N=%d)", n_); }
@@ -60,10 +62,11 @@ class AllDisksOneRunPlanner final : public PrefetchPlanner {
     EMSIM_CHECK(chooser_ != nullptr);
   }
 
-  std::vector<FetchOp> Plan(const VictimChooser::Context& ctx, int demand_run) override {
-    std::vector<FetchOp> ops;
-    ops.push_back(MakeOp(*ctx.runs, demand_run, DemandDepth(ctx, demand_run, n_),
-                         /*is_demand=*/true));
+  void Plan(const VictimChooser::Context& ctx, int demand_run,
+            std::vector<FetchOp>* ops) override {
+    ops->clear();
+    ops->push_back(MakeOp(*ctx.runs, demand_run, DemandDepth(ctx, demand_run, n_),
+                          /*is_demand=*/true));
     const disk::RunLayout& layout = *ctx.layout;
     int demand_disk = layout.DiskOf(demand_run);
     for (int d = 0; d < layout.num_disks(); ++d) {
@@ -73,19 +76,18 @@ class AllDisksOneRunPlanner final : public PrefetchPlanner {
       if (ctx.health != nullptr && !ctx.health->Usable(d, ctx.now)) {
         continue;  // Degraded fan-out: no speculative work for a sick disk.
       }
-      std::vector<int> candidates;
+      candidates_.clear();
       for (int r : layout.RunsOf(d)) {
         if (r != demand_run && !(*ctx.runs)[r].FullyRequested()) {
-          candidates.push_back(r);
+          candidates_.push_back(r);
         }
       }
-      if (candidates.empty()) {
+      if (candidates_.empty()) {
         continue;  // This disk has nothing left to prefetch.
       }
-      int victim = chooser_->Choose(ctx, candidates);
-      ops.push_back(MakeOp(*ctx.runs, victim, n_, /*is_demand=*/false));
+      int victim = chooser_->Choose(ctx, candidates_);
+      ops->push_back(MakeOp(*ctx.runs, victim, n_, /*is_demand=*/false));
     }
-    return ops;
   }
 
   std::string name() const override {
@@ -95,6 +97,7 @@ class AllDisksOneRunPlanner final : public PrefetchPlanner {
  private:
   int n_;
   std::unique_ptr<VictimChooser> chooser_;
+  std::vector<int> candidates_;  ///< Reused per-disk victim candidates.
 };
 
 }  // namespace

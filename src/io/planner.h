@@ -35,10 +35,12 @@ class PrefetchPlanner {
  public:
   virtual ~PrefetchPlanner() = default;
 
-  /// Produces the wish list for a demand fetch on `demand_run`. Ops are
-  /// ordered with the demand op first. Never returns an empty list while
-  /// the demand run has blocks on disk.
-  virtual std::vector<FetchOp> Plan(const VictimChooser::Context& ctx, int demand_run) = 0;
+  /// Replaces the contents of `*ops` (a caller-owned, reused buffer) with
+  /// the wish list for a demand fetch on `demand_run`. Ops are ordered with
+  /// the demand op first. Never produces an empty list while the demand run
+  /// has blocks on disk.
+  virtual void Plan(const VictimChooser::Context& ctx, int demand_run,
+                    std::vector<FetchOp>* ops) = 0;
 
   virtual std::string name() const = 0;
 };

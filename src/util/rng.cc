@@ -57,13 +57,19 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
 }
 
 std::vector<uint32_t> Rng::Permutation(uint32_t n) {
-  std::vector<uint32_t> perm(n);
+  std::vector<uint32_t> perm;
+  Permutation(n, &perm);
+  return perm;
+}
+
+void Rng::Permutation(uint32_t n, std::vector<uint32_t>* out) {
+  std::vector<uint32_t>& perm = *out;
+  perm.resize(n);
   std::iota(perm.begin(), perm.end(), 0U);
   for (uint32_t i = n; i > 1; --i) {
     uint32_t j = static_cast<uint32_t>(UniformInt(i));
     std::swap(perm[i - 1], perm[j]);
   }
-  return perm;
 }
 
 Rng Rng::Split() { return Rng(Next64() ^ 0x9E3779B97F4A7C15ULL); }

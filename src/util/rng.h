@@ -95,6 +95,10 @@ class Rng {
   /// Fisher-Yates shuffle of indices [0, n).
   std::vector<uint32_t> Permutation(uint32_t n);
 
+  /// The same shuffle (identical draws) into `*out`, replacing its contents
+  /// without allocating once the buffer has grown to `n`.
+  void Permutation(uint32_t n, std::vector<uint32_t>* out);
+
   /// Creates an independent generator derived from this one (stream split).
   Rng Split();
 

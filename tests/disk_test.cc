@@ -192,7 +192,7 @@ TEST(RunLayoutTest, RoundRobinPlacement) {
   EXPECT_TRUE(layout.Validate().ok());
   EXPECT_EQ(layout.DiskOf(0), 0);
   EXPECT_EQ(layout.DiskOf(7), 2);
-  EXPECT_EQ(layout.IndexOnDisk(7), 1);
+  EXPECT_EQ(layout.RunsOf(2)[1], 7);  // Second run on disk 2.
   EXPECT_EQ(layout.RunsOnDisk(0), 5);
   EXPECT_EQ(layout.LocalBlock(7, 3), 1003);
   EXPECT_EQ(layout.CylinderOf(0, 0), 0);
@@ -211,7 +211,7 @@ TEST(RunLayoutTest, BlockedPlacement) {
   EXPECT_EQ(layout.DiskOf(0), 0);
   EXPECT_EQ(layout.DiskOf(4), 0);
   EXPECT_EQ(layout.DiskOf(5), 1);
-  EXPECT_EQ(layout.IndexOnDisk(5), 0);
+  EXPECT_EQ(layout.RunsOf(1).front(), 5);  // First run on disk 1.
   EXPECT_EQ(layout.RunsOnDisk(1), 5);
 }
 
@@ -249,6 +249,48 @@ TEST(RunLayoutTest, VariableLengthRuns) {
   EXPECT_EQ(layout.LocalBlock(3, 5), 25);
 }
 
+TEST(RunLayoutTest, UnequalRunsStartAfterTheirDiskPredecessors) {
+  RunLayout::Options opt;
+  opt.num_runs = 7;
+  opt.num_disks = 3;
+  opt.blocks_per_run = 100;  // Ignored given run_blocks.
+  opt.run_blocks = {5, 11, 17, 23, 29, 31, 37};
+  for (RunPlacement placement : {RunPlacement::kRoundRobin, RunPlacement::kBlocked}) {
+    opt.placement = placement;
+    RunLayout layout(opt);
+    // Each disk packs its runs back to back in increasing run order.
+    for (int d = 0; d < 3; ++d) {
+      int64_t next = 0;
+      int prev = -1;
+      for (int r : layout.RunsOf(d)) {
+        EXPECT_GT(r, prev);
+        prev = r;
+        EXPECT_EQ(layout.DiskOf(r), d);
+        EXPECT_EQ(layout.LocalBlock(r, 0), next) << "run " << r;
+        EXPECT_EQ(layout.LocalBlock(r, layout.RunBlocks(r) - 1), next + layout.RunBlocks(r) - 1);
+        next += layout.RunBlocks(r);
+      }
+    }
+  }
+  // Pinned values. Round-robin: disk 0 = {0, 3, 6}, disk 1 = {1, 4},
+  // disk 2 = {2, 5}.
+  opt.placement = RunPlacement::kRoundRobin;
+  RunLayout rr(opt);
+  EXPECT_EQ(rr.RunsOf(0), (std::vector<int>{0, 3, 6}));
+  EXPECT_EQ(rr.LocalBlock(3, 0), 5);
+  EXPECT_EQ(rr.LocalBlock(6, 2), 5 + 23 + 2);
+  EXPECT_EQ(rr.LocalBlock(4, 0), 11);
+  EXPECT_EQ(rr.LocalBlock(5, 7), 17 + 7);
+  // Blocked (3 runs per disk): disk 0 = {0, 1, 2}, disk 1 = {3, 4, 5},
+  // disk 2 = {6}.
+  opt.placement = RunPlacement::kBlocked;
+  RunLayout blocked(opt);
+  EXPECT_EQ(blocked.RunsOf(1), (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(blocked.LocalBlock(2, 0), 5 + 11);
+  EXPECT_EQ(blocked.LocalBlock(5, 1), 23 + 29 + 1);
+  EXPECT_EQ(blocked.LocalBlock(6, 0), 0);
+}
+
 TEST(RunLayoutTest, StripedLocations) {
   RunLayout::Options opt;
   opt.num_runs = 4;
@@ -276,9 +318,10 @@ TEST(RunLayoutTest, StripedSpansCoverEveryOffsetOnce) {
   opt.blocks_per_run = 12;
   opt.placement = RunPlacement::kStriped;
   RunLayout layout(opt);
+  std::vector<RunLayout::Span> spans;  // Reused: each call replaces it.
   for (int64_t offset : {0, 1, 2, 5}) {
     for (int64_t n : {1, 2, 3, 4, 7}) {
-      auto spans = layout.Spans(1, offset, n);
+      layout.SpansInto(1, offset, n, &spans);
       std::vector<int64_t> covered;
       for (const auto& span : spans) {
         EXPECT_GE(span.nblocks, 1);
@@ -306,7 +349,8 @@ TEST(RunLayoutTest, ContiguousSpanIsSingle) {
   opt.num_disks = 3;
   opt.blocks_per_run = 100;
   RunLayout layout(opt);
-  auto spans = layout.Spans(4, 20, 10);
+  std::vector<RunLayout::Span> spans(3);  // Stale contents are replaced.
+  layout.SpansInto(4, 20, 10, &spans);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].disk, layout.DiskOf(4));
   EXPECT_EQ(spans[0].local_start, layout.LocalBlock(4, 20));
@@ -339,6 +383,28 @@ struct Served {
   double completed_at;
 };
 
+/// Records every sink call a disk makes, with its simulated time.
+class RecordingSink final : public RequestSink {
+ public:
+  explicit RecordingSink(sim::Simulation* sim) : sim_(sim) {}
+
+  void OnBlock(const DiskRequest& /*request*/, int /*i*/) override {
+    block_times.push_back(sim_->Now());
+  }
+  void OnComplete(const DiskRequest& request) override {
+    served.push_back({request.start_block, sim_->Now()});
+  }
+  void OnError(const DiskRequest& /*request*/) override {
+    ADD_FAILURE() << "no fault plan is attached, so nothing can fail";
+  }
+
+  std::vector<double> block_times;
+  std::vector<Served> served;
+
+ private:
+  sim::Simulation* sim_;
+};
+
 TEST(DiskServerTest, FcfsOrderAndPerBlockDelivery) {
   sim::Simulation sim;
   DiskParams params;
@@ -346,14 +412,14 @@ TEST(DiskServerTest, FcfsOrderAndPerBlockDelivery) {
   Disk disk(&sim, params, 0, /*seed=*/1);
   disk.Start();
 
-  std::vector<Served> served;
-  std::vector<double> block_times;
+  RecordingSink sink(&sim);
+  const std::vector<Served>& served = sink.served;
+  const std::vector<double>& block_times = sink.block_times;
   auto submit = [&](int64_t start, int n) {
     DiskRequest req;
     req.start_block = start;
     req.nblocks = n;
-    req.on_block = [&block_times, &sim](int) { block_times.push_back(sim.Now()); };
-    req.on_complete = [&served, &sim, start] { served.push_back({start, sim.Now()}); };
+    req.sink = &sink;
     disk.Submit(req);
   };
   sim.ScheduleCallback(0, [&] {
@@ -382,6 +448,45 @@ TEST(DiskServerTest, FcfsOrderAndPerBlockDelivery) {
   EXPECT_EQ(s.seek_cylinders, 10);
 }
 
+TEST(DiskServerTest, FcfsOrderSurvivesQueueReuse) {
+  // The queue never drains: every completion submits a new request, so the
+  // served prefix is reclaimed by compaction rather than by emptying.
+  sim::Simulation sim;
+  DiskParams params;
+  Disk disk(&sim, params, 0, 1);
+  disk.Start();
+  struct Resubmitter final : RequestSink {
+    void OnBlock(const DiskRequest& /*request*/, int /*i*/) override {}
+    void OnComplete(const DiskRequest& request) override {
+      order.push_back(request.start_block);
+      if (next < 40) {
+        DiskRequest req = request;
+        req.start_block = next++;
+        disk->Submit(req);
+      }
+    }
+    void OnError(const DiskRequest& /*request*/) override { ADD_FAILURE(); }
+    Disk* disk = nullptr;
+    int64_t next = 0;
+    std::vector<int64_t> order;
+  } sink;
+  sink.disk = &disk;
+  sim.ScheduleCallback(0, [&] {
+    for (; sink.next < 5; ++sink.next) {
+      DiskRequest req;
+      req.start_block = sink.next;
+      req.sink = &sink;
+      disk.Submit(req);
+    }
+  });
+  sim.Run();
+  ASSERT_EQ(sink.order.size(), 40u);
+  for (int64_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(sink.order[static_cast<size_t>(i)], i);
+  }
+  EXPECT_EQ(disk.stats().max_queue_length, 5u);
+}
+
 TEST(DiskServerTest, SstfPicksNearestRequest) {
   sim::Simulation sim;
   DiskParams params;
@@ -390,12 +495,12 @@ TEST(DiskServerTest, SstfPicksNearestRequest) {
   Disk disk(&sim, params, 0, 1);
   disk.Start();
 
-  std::vector<int64_t> order;
+  RecordingSink sink(&sim);
   auto submit = [&](int64_t start) {
     DiskRequest req;
     req.start_block = start;
     req.nblocks = 1;
-    req.on_complete = [&order, start] { order.push_back(start); };
+    req.sink = &sink;
     disk.Submit(req);
   };
   // While the disk serves block 0, queue far then near; SSTF should take the
@@ -406,18 +511,22 @@ TEST(DiskServerTest, SstfPicksNearestRequest) {
     submit(104 * 5);    // Cylinder 5.
   });
   sim.Run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[1], 104 * 5);
-  EXPECT_EQ(order[2], 104 * 100);
+  ASSERT_EQ(sink.served.size(), 3u);
+  EXPECT_EQ(sink.served[0].block, 0);
+  EXPECT_EQ(sink.served[1].block, 104 * 5);
+  EXPECT_EQ(sink.served[2].block, 104 * 100);
 }
 
 TEST(DiskServerTest, BusyObserverFires) {
   sim::Simulation sim;
   DiskParams params;
   Disk disk(&sim, params, 3, 1);
-  std::vector<std::pair<int, bool>> transitions;
-  disk.on_busy_changed = [&](int id, bool busy) { transitions.push_back({id, busy}); };
+  struct Recorder final : BusyObserver {
+    void OnBusyChanged(int id, bool busy) override { transitions.push_back({id, busy}); }
+    std::vector<std::pair<int, bool>> transitions;
+  } recorder;
+  const std::vector<std::pair<int, bool>>& transitions = recorder.transitions;
+  disk.SetBusyObserver(&recorder);
   disk.Start();
   DiskRequest req;
   req.start_block = 0;

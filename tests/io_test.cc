@@ -77,7 +77,8 @@ TEST(RunStatesTest, VariableLengths) {
 TEST(DemandOnlyPlannerTest, FetchesNFromDemandRun) {
   Fixture f(10, 2, 100);
   auto planner = MakeDemandOnlyPlanner(7);
-  auto ops = planner->Plan(f.Ctx(), 3);
+  std::vector<FetchOp> ops;
+  planner->Plan(f.Ctx(), 3, &ops);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].run, 3);
   EXPECT_EQ(ops[0].offset, 0);
@@ -89,7 +90,8 @@ TEST(DemandOnlyPlannerTest, TrimsAtRunEnd) {
   Fixture f(4, 1, 100);
   f.runs[2].next_fetch_offset = 98;
   auto planner = MakeDemandOnlyPlanner(10);
-  auto ops = planner->Plan(f.Ctx(), 2);
+  std::vector<FetchOp> ops;
+  planner->Plan(f.Ctx(), 2, &ops);
   ASSERT_EQ(ops.size(), 1u);
   EXPECT_EQ(ops[0].offset, 98);
   EXPECT_EQ(ops[0].nblocks, 2);
@@ -98,7 +100,8 @@ TEST(DemandOnlyPlannerTest, TrimsAtRunEnd) {
 TEST(AllDisksOneRunPlannerTest, OneOpPerDisk) {
   Fixture f(25, 5, 1000);
   auto planner = MakeAllDisksOneRunPlanner(10, MakeRandomVictimChooser());
-  auto ops = planner->Plan(f.Ctx(), 7);  // Run 7 lives on disk 2.
+  std::vector<FetchOp> ops;
+  planner->Plan(f.Ctx(), 7, &ops);  // Run 7 lives on disk 2.
   ASSERT_EQ(ops.size(), 5u);
   EXPECT_TRUE(ops[0].is_demand);
   EXPECT_EQ(ops[0].run, 7);
@@ -120,7 +123,8 @@ TEST(AllDisksOneRunPlannerTest, SkipsExhaustedDisks) {
   f.runs[1].next_fetch_offset = 10;
   f.runs[4].next_fetch_offset = 10;
   auto planner = MakeAllDisksOneRunPlanner(2, MakeRandomVictimChooser());
-  auto ops = planner->Plan(f.Ctx(), 0);
+  std::vector<FetchOp> ops;
+  planner->Plan(f.Ctx(), 0, &ops);
   ASSERT_EQ(ops.size(), 2u);  // Demand disk 0 + disk 2 only.
   EXPECT_EQ(f.layout.DiskOf(ops[1].run), 2);
 }
@@ -129,8 +133,12 @@ TEST(AllDisksOneRunPlannerTest, VictimsHaveBlocksLeft) {
   Fixture f(9, 3, 10);
   f.runs[2].next_fetch_offset = 10;  // Disk 2's first run exhausted.
   auto planner = MakeAllDisksOneRunPlanner(2, MakeRandomVictimChooser());
+  std::vector<FetchOp> ops;  // Reused: each Plan replaces the list.
   for (int trial = 0; trial < 50; ++trial) {
-    auto ops = planner->Plan(f.Ctx(), 0);
+    planner->Plan(f.Ctx(), 0, &ops);
+    ASSERT_FALSE(ops.empty());
+    EXPECT_TRUE(ops[0].is_demand);
+    EXPECT_EQ(ops.size(), 3u);  // One op per disk, never appended to the last list.
     for (const auto& op : ops) {
       EXPECT_GT(f.runs[op.run].RemainingOnDisk(), 0);
     }

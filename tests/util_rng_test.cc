@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +154,33 @@ TEST(RngTest, PermutationZeroAndOne) {
   auto one = rng.Permutation(1);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 0u);
+}
+
+TEST(RngTest, PermutationIntoBufferMatchesPermutation) {
+  // The in-place overload makes exactly the draws of the returning one
+  // (itself checked against a spelled-out Fisher-Yates), whatever the
+  // buffer held before.
+  Rng a(59);
+  Rng b(59);
+  Rng reference(59);
+  std::vector<uint32_t> buffer(200, 7);
+  for (uint32_t n : {0u, 1u, 2u, 5u, 100u, 3u}) {
+    std::vector<uint32_t> expected = a.Permutation(n);
+    b.Permutation(n, &buffer);
+    EXPECT_EQ(buffer, expected) << "n=" << n;
+
+    std::vector<uint32_t> spelled(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      spelled[i] = i;
+    }
+    for (uint32_t i = n; i > 1; --i) {
+      std::swap(spelled[i - 1], spelled[reference.UniformInt(i)]);
+    }
+    EXPECT_EQ(spelled, expected) << "n=" << n;
+  }
+  const uint64_t next = a.Next64();
+  EXPECT_EQ(b.Next64(), next);
+  EXPECT_EQ(reference.Next64(), next);
 }
 
 TEST(RngTest, SplitStreamsLookIndependent) {
