@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the simulation substrate: event
 // calendar throughput, coroutine process switching, disk service pricing and
 // full merge-trial cost. These calibrate how much simulated work one wall
-// second buys (the figure benches run hundreds of trials).
+// second buys (the figure benches run hundreds of trials). The last two
+// price a sweep's artifact path: the shard codec and the JSON export.
 
 #include <benchmark/benchmark.h>
 
@@ -9,9 +10,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config.h"
+#include "core/experiment.h"
 #include "core/merge_simulator.h"
+#include "core/result.h"
+#include "core/result_json.h"
 #include "disk/disk_params.h"
 #include "disk/mechanism.h"
 #include "extsort/loser_tree.h"
@@ -20,6 +27,7 @@
 #include "sim/frame_pool.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
+#include "sweep/shard.h"
 #include "util/rng.h"
 
 namespace emsim {
@@ -252,6 +260,67 @@ void BM_FullMergeTrial(benchmark::State& state) {
   SetKernelCounters(state, events, allocs0);
 }
 BENCHMARK(BM_FullMergeTrial)->Arg(1)->Arg(10);
+
+/// A fixed 80-task shard: one unit of 80 short k=10, D=5 inter-run trials,
+/// run once and shared by the artifact-path benches.
+struct CodecFixture {
+  core::MergeConfig config;
+  sweep::ShardArtifact artifact;
+};
+
+const CodecFixture& EightyTaskArtifact() {
+  static const CodecFixture fixture = [] {
+    CodecFixture f;
+    f.config = core::MergeConfig::Paper(10, 5, 2, core::Strategy::kAllDisksOneRun,
+                                        core::SyncMode::kUnsynchronized);
+    f.config.blocks_per_run = 100;
+    core::SweepGrid grid({core::SweepUnit{"codec", f.config, 80}});
+    f.artifact = sweep::RunShard(grid, 0, 1, 1, {});
+    return f;
+  }();
+  return fixture;
+}
+
+/// Heap allocations per op; the artifact-path benches run no simulation, so
+/// they report no event counters.
+void SetAllocCounter(benchmark::State& state, uint64_t heap_allocs_before) {
+  state.counters["allocs_per_op"] = static_cast<double>(HeapAllocs() - heap_allocs_before) /
+                                    static_cast<double>(state.iterations());
+}
+
+// Encode, seal, unseal and decode of the 80-task artifact: what one shard
+// costs a sweep between its worker and the merge.
+void BM_ShardCodecRoundTrip(benchmark::State& state) {
+  const sweep::ShardArtifact& artifact = EightyTaskArtifact().artifact;
+  uint64_t allocs0 = HeapAllocs();
+  for (auto _ : state) {
+    std::string sealed = sweep::SealShardArtifact(sweep::EncodeShardArtifact(artifact));
+    auto decoded = sweep::DecodeShardArtifact(*sweep::UnsealShardArtifact(sealed));
+    benchmark::DoNotOptimize(decoded->tasks.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 80);  // Tasks per op.
+  SetAllocCounter(state, allocs0);
+}
+BENCHMARK(BM_ShardCodecRoundTrip);
+
+// The --json export of the 80 trials' aggregate (per-trial results included).
+void BM_ExportJson(benchmark::State& state) {
+  const CodecFixture& fixture = EightyTaskArtifact();
+  std::vector<core::MergeResult> trials;
+  for (const sweep::ShardTask& task : fixture.artifact.tasks) {
+    trials.push_back(task.result);
+  }
+  const core::ExperimentResult result = core::AggregateTrials(std::move(trials));
+  const std::vector<core::NamedExperiment> named = {{"codec", fixture.config, &result}};
+  uint64_t allocs0 = HeapAllocs();
+  for (auto _ : state) {
+    std::string json = core::ExperimentSetToJson(named);
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 80);  // Trials per op.
+  SetAllocCounter(state, allocs0);
+}
+BENCHMARK(BM_ExportJson);
 
 }  // namespace
 }  // namespace emsim

@@ -1,10 +1,8 @@
 #ifndef EMSIM_CACHE_BLOCK_CACHE_H_
 #define EMSIM_CACHE_BLOCK_CACHE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -100,15 +98,7 @@ class BlockCache {
     slot.reserved -= 1;
     reserved_total_ -= 1;
     EMSIM_CHECK(offset >= slot.next_consume && "Deposit of an already-consumed offset");
-    // Insert preserving ascending order; deposits are in order under FCFS so
-    // the common case is an append.
-    if (slot.blocks.empty() || offset > slot.blocks.back()) {
-      slot.blocks.push_back(offset);
-    } else {
-      auto pos = std::lower_bound(slot.blocks.begin(), slot.blocks.end(), offset);
-      EMSIM_CHECK(pos == slot.blocks.end() || *pos != offset);
-      slot.blocks.insert(pos, offset);
-    }
+    slot.blocks.Insert(offset);
     cached_total_ += 1;
     ++stats_.deposits;
     if (metric_deposits_ != nullptr) {
@@ -123,8 +113,7 @@ class BlockCache {
   int64_t ConsumeLeading(int run) {
     RunSlot& slot = RunOf(run);
     EMSIM_CHECK(HasLeadingBlock(run));
-    int64_t offset = slot.blocks.front();
-    slot.blocks.pop_front();
+    int64_t offset = slot.blocks.PopFront();
     slot.next_consume = offset + 1;
     cached_total_ -= 1;
     ++stats_.consumptions;
@@ -149,10 +138,61 @@ class BlockCache {
   void CheckInvariants() const;
 
  private:
+  /// A run's cached offsets, ascending, in a ring buffer whose capacity is
+  /// a power of two. It grows by doubling and never shrinks, so a run that
+  /// has reached its peak occupancy deposits and consumes without touching
+  /// the heap.
+  class OffsetRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    int64_t front() const { return buf_[head_]; }
+    int64_t operator[](size_t i) const { return buf_[(head_ + i) & mask_]; }
+
+    /// Inserts `offset`, which must not be present, preserving ascending
+    /// order. Deposits are in order under FCFS, so the common case is an
+    /// append; an SSTF-reordered one shifts the larger offsets back a slot.
+    void Insert(int64_t offset) {
+      if (size_ == buf_.size()) {
+        Grow();
+      }
+      size_t i = size_;
+      for (; i > 0 && (*this)[i - 1] > offset; --i) {
+        buf_[(head_ + i) & mask_] = (*this)[i - 1];
+      }
+      EMSIM_CHECK(i == 0 || (*this)[i - 1] != offset);
+      buf_[(head_ + i) & mask_] = offset;
+      ++size_;
+    }
+
+    int64_t PopFront() {
+      int64_t offset = buf_[head_];
+      head_ = (head_ + 1) & mask_;
+      --size_;
+      return offset;
+    }
+
+   private:
+    void Grow() {
+      std::vector<int64_t> grown(buf_.empty() ? 8 : 2 * buf_.size());
+      for (size_t i = 0; i < size_; ++i) {
+        grown[i] = (*this)[i];
+      }
+      buf_.swap(grown);
+      head_ = 0;
+      mask_ = buf_.size() - 1;
+    }
+
+    std::vector<int64_t> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+    size_t mask_ = 0;
+  };
+
   struct RunSlot {
-    std::deque<int64_t> blocks;  ///< Cached offsets, ascending.
-    int64_t reserved = 0;        ///< In-flight frames.
-    int64_t next_consume = 0;    ///< Next offset the merge will deplete.
+    OffsetRing blocks;         ///< Cached offsets, ascending.
+    int64_t reserved = 0;      ///< In-flight frames.
+    int64_t next_consume = 0;  ///< Next offset the merge will deplete.
     std::unique_ptr<sim::Signal> signal;
   };
 

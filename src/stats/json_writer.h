@@ -10,9 +10,11 @@ namespace emsim::stats {
 
 /// Streaming JSON document builder with deterministic, schema-stable output:
 /// two-space pretty printing, keys emitted in call order, and doubles
-/// rendered with the shortest decimal form that round-trips through strtod —
-/// so identical data always serializes to identical bytes (the property CI
-/// diffs rely on).
+/// rendered as the shortest of their %.15g/%.16g/%.17g forms that parses
+/// back exactly — so identical data always serializes to identical bytes
+/// (the property CI diffs rely on). Numbers and escaped strings are
+/// formatted straight into the document buffer; a value allocates nothing
+/// once the buffer has grown.
 ///
 /// Usage is push-based and validated by assertions, not a DOM:
 ///
@@ -56,11 +58,12 @@ class JsonWriter {
   /// newline. The writer is reset and reusable afterwards.
   std::string Take();
 
-  /// JSON string escaping (quotes not included).
+  /// JSON string escaping (quotes not included), as String() emits it.
   static std::string Escape(std::string_view s);
 
-  /// Shortest decimal rendering of `v` that strtod parses back to exactly
-  /// `v`; "null" for non-finite values. Exposed for tests.
+  /// The bytes Number(v) emits: the shortest of the %.15g, %.16g and %.17g
+  /// renderings of `v` that parses back to exactly `v`; "null" for
+  /// non-finite values.
   static std::string FormatDouble(double v);
 
  private:

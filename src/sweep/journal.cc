@@ -67,40 +67,41 @@ std::string EncodeRecord(const JournalRecord& r) {
   return out;
 }
 
-Status ReadHex64(const JsonValue& obj, const char* key, uint64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
+Status ReadHex64(const JsonNode& obj, const char* key, uint64_t* out) {
+  const JsonNode* v = obj.Find(key);
+  if (v == nullptr || v->kind != JsonNode::Kind::kString) {
     return Status::Corruption(StrFormat("journal: missing hex field '%s'", key));
   }
+  const std::string hex(v->string);
   char* end = nullptr;
-  *out = std::strtoull(v->string.c_str(), &end, 16);
-  if (v->string.empty() || end != v->string.c_str() + v->string.size()) {
+  *out = std::strtoull(hex.c_str(), &end, 16);
+  if (hex.empty() || end != hex.c_str() + hex.size()) {
     return Status::Corruption(StrFormat("journal: malformed hex field '%s'", key));
   }
   return Status::OK();
 }
 
-int FindInt(const JsonValue& obj, const char* key, int fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber || !v->is_integral) {
+int FindInt(const JsonNode& obj, const char* key, int fallback) {
+  const JsonNode* v = obj.Find(key);
+  if (v == nullptr || v->kind != JsonNode::Kind::kNumber || !v->is_integral) {
     return fallback;
   }
   return static_cast<int>(v->is_negative ? -static_cast<int64_t>(v->magnitude)
                                          : static_cast<int64_t>(v->magnitude));
 }
 
-std::string FindString(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kString) ? v->string : std::string();
+std::string_view FindString(const JsonNode& obj, const char* key) {
+  const JsonNode* v = obj.Find(key);
+  return (v != nullptr && v->kind == JsonNode::Kind::kString) ? v->string : std::string_view();
 }
 
-Result<JournalRecord> DecodeRecord(const std::string& line) {
-  Result<JsonValue> parsed = ParseJson(line);
+Result<JournalRecord> DecodeRecord(std::string_view line) {
+  Result<JsonDocument> parsed = ParseJson(line);
   if (!parsed.ok()) {
     return Status::Corruption(StrFormat("journal: %s", parsed.status().message().c_str()));
   }
-  const JsonValue& obj = *parsed;
-  std::string kind_name = FindString(obj, "kind");
+  const JsonNode& obj = parsed->root();
+  std::string_view kind_name = FindString(obj, "kind");
   JournalRecord record;
   bool known = false;
   for (const auto& entry : kKindNames) {
@@ -111,16 +112,17 @@ Result<JournalRecord> DecodeRecord(const std::string& line) {
     }
   }
   if (!known) {
-    return Status::Corruption(StrFormat("journal: unknown record kind '%s'", kind_name.c_str()));
+    return Status::Corruption(StrFormat("journal: unknown record kind '%.*s'",
+                                        static_cast<int>(kind_name.size()), kind_name.data()));
   }
   record.shard = FindInt(obj, "shard", -1);
   record.attempt = FindInt(obj, "attempt", 0);
-  record.path = FindString(obj, "path");
-  record.detail = FindString(obj, "detail");
+  record.path = std::string(FindString(obj, "path"));
+  record.detail = std::string(FindString(obj, "detail"));
   if (record.kind == JournalRecord::Kind::kShardDone) {
     EMSIM_RETURN_IF_ERROR(ReadHex64(obj, "digest", &record.digest));
-    const JsonValue* size = obj.Find("size");
-    if (size == nullptr || size->kind != JsonValue::Kind::kNumber || !size->is_integral ||
+    const JsonNode* size = obj.Find("size");
+    if (size == nullptr || size->kind != JsonNode::Kind::kNumber || !size->is_integral ||
         size->is_negative) {
       return Status::Corruption("journal: shard_done record without a valid size");
     }
@@ -229,7 +231,7 @@ Result<std::vector<JournalRecord>> RunJournal::Load(const std::string& run_dir) 
     if (newline == std::string::npos) {
       break;  // Torn final record: the crash lost it; artifacts re-verify.
     }
-    std::string line = text.substr(start, newline - start);
+    std::string_view line = std::string_view(text).substr(start, newline - start);
     start = newline + 1;
     if (line.empty()) {
       continue;

@@ -1,8 +1,10 @@
 #include "sweep/json_value.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <utility>
+#include <algorithm>
+#include <charconv>
+#include <cstddef>
+#include <cstdint>
+#include <system_error>
 
 #include "util/str.h"
 
@@ -10,24 +12,69 @@ namespace emsim::sweep {
 
 namespace {
 
+/// Artifacts are machine-written and shallow; a hostile deep document must
+/// not overflow the stack. Every value counts, scalars included.
+constexpr int kMaxDepth = 64;
+
+/// Sign of the decimal exponent of the leading nonzero digit of a number
+/// token that from_chars accepted but found out of range: >= 0 means the
+/// value overflowed, < 0 that it underflowed. `p` points past any '-'.
+bool OverflowedRange(const char* p, const char* last) {
+  int64_t int_digits = 0;  // Digits before the decimal point.
+  int64_t lead = -1;       // Digit index of the first nonzero digit.
+  int64_t seen = 0;
+  bool point = false;
+  for (; p < last && *p != 'e' && *p != 'E'; ++p) {
+    if (*p == '.') {
+      point = true;
+      continue;
+    }
+    if (lead < 0 && *p != '0') {
+      lead = seen;
+    }
+    ++seen;
+    if (!point) {
+      ++int_digits;
+    }
+  }
+  if (lead < 0) {
+    return false;  // All zeros: cannot be out of range.
+  }
+  int64_t exponent = 0;
+  if (p < last) {
+    ++p;  // 'e' or 'E'.
+    const bool negative = p < last && *p == '-';
+    if (p < last && (*p == '-' || *p == '+')) {
+      ++p;
+    }
+    // Exponents too long for 64 bits saturate; the token has < 2^32 digits.
+    constexpr int64_t kHuge = int64_t{1} << 40;
+    if (std::from_chars(p, last, exponent).ec != std::errc()) {
+      exponent = kHuge;
+    }
+    exponent = negative ? -std::min(exponent, kHuge) : std::min(exponent, kHuge);
+  }
+  return int_digits - 1 - lead + exponent >= 0;
+}
+
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::vector<JsonNode>* nodes,
+         std::forward_list<std::string>* unescaped)
+      : text_(text), nodes_(nodes), unescaped_(unescaped) {}
 
-  Result<JsonValue> ParseDocument() {
-    JsonValue value;
-    EMSIM_RETURN_IF_ERROR(ParseValue(&value));
+  Status ParseDocument() {
+    EMSIM_RETURN_IF_ERROR(ParseValue(std::string_view()));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after document");
     }
-    return value;
+    return Status::OK();
   }
 
  private:
   Status Error(const char* what) const {
-    return Status::InvalidArgument(
-        StrFormat("json: %s at offset %zu", what, pos_));
+    return Status::InvalidArgument(StrFormat("json: %s at offset %zu", what, pos_));
   }
 
   void SkipWhitespace() {
@@ -56,117 +103,113 @@ class Parser {
     return false;
   }
 
-  Status ParseValue(JsonValue* out) {
-    // Nesting depth guard: artifacts are machine-written and shallow; a
-    // hostile deep document must not overflow the stack.
-    if (++depth_ > 64) {
+  /// Appends the value at pos_ (and its subtree) as a node named `key`.
+  Status ParseValue(std::string_view key) {
+    if (++depth_ > kMaxDepth) {
       return Error("nesting too deep");
     }
     SkipWhitespace();
     if (pos_ >= text_.size()) {
       return Error("unexpected end of input");
     }
+    const size_t index = nodes_->size();
+    // `node` is valid until the next node is appended, so containers fill
+    // theirs in by index.
+    JsonNode& node = nodes_->emplace_back();
+    node.key = key;
     Status status;
     switch (text_[pos_]) {
       case '{':
-        status = ParseObject(out);
+        status = ParseContainer(index, JsonNode::Kind::kObject, '}');
         break;
       case '[':
-        status = ParseArray(out);
+        status = ParseContainer(index, JsonNode::Kind::kArray, ']');
         break;
       case '"':
-        out->kind = JsonValue::Kind::kString;
-        status = ParseString(&out->string);
+        node.kind = JsonNode::Kind::kString;
+        status = ParseString(&node.string);
         break;
       case 't':
       case 'f':
-        out->kind = JsonValue::Kind::kBool;
+        node.kind = JsonNode::Kind::kBool;
         if (ConsumeWord("true")) {
-          out->bool_value = true;
-        } else if (ConsumeWord("false")) {
-          out->bool_value = false;
-        } else {
+          node.bool_value = true;
+        } else if (!ConsumeWord("false")) {
           status = Error("invalid literal");
         }
         break;
       case 'n':
-        out->kind = JsonValue::Kind::kNull;
         if (!ConsumeWord("null")) {
           status = Error("invalid literal");
         }
         break;
       default:
-        status = ParseNumber(out);
+        status = ParseNumber(&node);
         break;
     }
     --depth_;
     return status;
   }
 
-  Status ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
+  Status ParseContainer(size_t index, JsonNode::Kind kind, char close) {
+    (*nodes_)[index].kind = kind;
+    ++pos_;  // '{' or '['
     SkipWhitespace();
-    if (Consume('}')) {
-      return Status::OK();
+    if (!Consume(close)) {
+      while (true) {
+        std::string_view key;
+        if (kind == JsonNode::Kind::kObject) {
+          SkipWhitespace();
+          if (pos_ >= text_.size() || text_[pos_] != '"') {
+            return Error("expected object key");
+          }
+          EMSIM_RETURN_IF_ERROR(ParseString(&key));
+          SkipWhitespace();
+          if (!Consume(':')) {
+            return Error("expected ':'");
+          }
+        }
+        EMSIM_RETURN_IF_ERROR(ParseValue(key));
+        SkipWhitespace();
+        if (Consume(',')) {
+          continue;
+        }
+        if (Consume(close)) {
+          break;
+        }
+        return Error(kind == JsonNode::Kind::kObject ? "expected ',' or '}'"
+                                                     : "expected ',' or ']'");
+      }
     }
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
-      }
-      std::string key;
-      EMSIM_RETURN_IF_ERROR(ParseString(&key));
-      SkipWhitespace();
-      if (!Consume(':')) {
-        return Error("expected ':'");
-      }
-      JsonValue value;
-      EMSIM_RETURN_IF_ERROR(ParseValue(&value));
-      out->fields.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return Status::OK();
-      }
-      return Error("expected ',' or '}'");
-    }
+    (*nodes_)[index].end = static_cast<uint32_t>(nodes_->size() - index);
+    return Status::OK();
   }
 
-  Status ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipWhitespace();
-    if (Consume(']')) {
-      return Status::OK();
-    }
-    while (true) {
-      JsonValue value;
-      EMSIM_RETURN_IF_ERROR(ParseValue(&value));
-      out->items.push_back(std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume(']')) {
-        return Status::OK();
-      }
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  Status ParseString(std::string* out) {
+  /// A string token without escapes is a view into the text; one with
+  /// escapes is unescaped into storage the document owns.
+  Status ParseString(std::string_view* out) {
     ++pos_;  // '"'
-    out->clear();
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ >= text_.size()) {
+      return Error("unterminated string");
+    }
+    if (text_[pos_] == '"') {
+      *out = text_.substr(start, pos_ - start);
+      ++pos_;
+      return Status::OK();
+    }
+    std::string& owned = unescaped_->emplace_front(text_.substr(start, pos_ - start));
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') {
+        *out = owned;
         return Status::OK();
       }
       if (c != '\\') {
-        out->push_back(c);
+        owned.push_back(c);
         continue;
       }
       if (pos_ >= text_.size()) {
@@ -174,14 +217,30 @@ class Parser {
       }
       char esc = text_[pos_++];
       switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
+        case '"':
+          owned.push_back('"');
+          break;
+        case '\\':
+          owned.push_back('\\');
+          break;
+        case '/':
+          owned.push_back('/');
+          break;
+        case 'b':
+          owned.push_back('\b');
+          break;
+        case 'f':
+          owned.push_back('\f');
+          break;
+        case 'n':
+          owned.push_back('\n');
+          break;
+        case 'r':
+          owned.push_back('\r');
+          break;
+        case 't':
+          owned.push_back('\t');
+          break;
         case 'u': {
           if (pos_ + 4 > text_.size()) {
             return Error("truncated \\u escape");
@@ -205,7 +264,7 @@ class Parser {
           if (code > 0xFF) {
             return Error("unsupported \\u escape above U+00FF");
           }
-          out->push_back(static_cast<char>(code));
+          owned.push_back(static_cast<char>(code));
           break;
         }
         default:
@@ -215,12 +274,10 @@ class Parser {
     return Error("unterminated string");
   }
 
-  Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    out->kind = JsonValue::Kind::kNumber;
-    if (Consume('-')) {
-      out->is_negative = true;
-    }
+  Status ParseNumber(JsonNode* node) {
+    const size_t start = pos_;
+    node->kind = JsonNode::Kind::kNumber;
+    node->is_negative = Consume('-');
     bool integral = true;
     while (pos_ < text_.size()) {
       char c = text_[pos_];
@@ -233,52 +290,72 @@ class Parser {
         break;
       }
     }
-    if (pos_ == start + (out->is_negative ? 1u : 0u)) {
+    const char* first = text_.data() + start;
+    const char* digits = first + (node->is_negative ? 1 : 0);
+    const char* last = text_.data() + pos_;
+    if (digits == last) {
       pos_ = start;
       return Error("invalid number");
     }
-    std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
-    char* end = nullptr;
-    out->number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      pos_ = start;
-      return Error("invalid number");
-    }
-    out->is_integral = integral;
+    node->is_integral = integral;
     if (integral) {
-      errno = 0;
-      const char* digits = token.c_str() + (out->is_negative ? 1 : 0);
-      out->magnitude = std::strtoull(digits, &end, 10);
-      if (errno == ERANGE) {
+      // u64 -> double rounds to nearest, exactly as parsing the digits would.
+      if (std::from_chars(digits, last, node->magnitude).ec != std::errc()) {
         pos_ = start;
         return Error("integer out of range");
       }
+      node->number = static_cast<double>(node->magnitude);
+      if (node->is_negative) {
+        node->number = -node->number;
+      }
+      return Status::OK();
+    }
+    // from_chars takes no leading '+', as JSON requires.
+    auto [ptr, ec] = std::from_chars(first, last, node->number);
+    if (ptr != last || (ec != std::errc() && ec != std::errc::result_out_of_range)) {
+      pos_ = start;
+      return Error("invalid number");
+    }
+    if (ec == std::errc::result_out_of_range) {
+      if (OverflowedRange(digits, last)) {
+        pos_ = start;
+        return Error("number out of range");
+      }
+      node->number = node->is_negative ? -0.0 : 0.0;  // Underflow reads as ±0.
     }
     return Status::OK();
   }
 
   std::string_view text_;
+  std::vector<JsonNode>* nodes_;
+  std::forward_list<std::string>* unescaped_;
   size_t pos_ = 0;
   int depth_ = 0;
 };
 
 }  // namespace
 
-const JsonValue* JsonValue::Find(std::string_view key) const {
+const JsonNode* JsonNode::Find(std::string_view name) const {
   if (kind != Kind::kObject) {
     return nullptr;
   }
-  for (const auto& [name, value] : fields) {
-    if (name == key) {
-      return &value;
+  for (const JsonNode& member : children()) {
+    if (member.key == name) {
+      return &member;
     }
   }
   return nullptr;
 }
 
-Result<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).ParseDocument();
+Result<JsonDocument> ParseJson(std::string_view text) {
+  if (text.size() >= UINT32_MAX) {
+    return Status::InvalidArgument("json: document too large");
+  }
+  JsonDocument doc;
+  // Machine-written documents average well over 32 bytes per value.
+  doc.nodes_.reserve(text.size() / 32 + 4);
+  EMSIM_RETURN_IF_ERROR(Parser(text, &doc.nodes_, &doc.unescaped_).ParseDocument());
+  return doc;
 }
 
 }  // namespace emsim::sweep

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/result.h"
@@ -19,7 +20,7 @@ namespace {
 /// artifact `a` in every diagnostic.
 Result<std::vector<core::ExperimentResult>> MergePayloads(
     const std::vector<core::SweepUnit>& units, size_t count,
-    const std::function<const std::string&(size_t)>& payload,
+    const std::function<std::string_view(size_t)>& payload,
     const std::function<std::string(size_t)>& name) {
   core::SweepGrid grid(units);
   const uint64_t digest = SpecDigest(units);
@@ -36,7 +37,7 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
       return Status::Corruption(StrFormat("%s: %s", name(a).c_str(),
                                           decoded.status().message().c_str()));
     }
-    const ShardArtifact& shard = *decoded;
+    ShardArtifact& shard = *decoded;
     if (shard.spec_digest != digest) {
       return Status::InvalidArgument(
           StrFormat("%s (shard %d/%d): spec digest %016llx does not match the "
@@ -57,7 +58,7 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
                     name(a).c_str(), shard.shard_index, shard.shard_count, shard.range.begin,
                     shard.range.end, expected.begin, expected.end));
     }
-    for (const ShardTask& task : shard.tasks) {
+    for (ShardTask& task : shard.tasks) {
       if (task.task < shard.range.begin || task.task >= shard.range.end) {
         return Status::Corruption(StrFormat("%s: task %d outside its shard range",
                                             name(a).c_str(), task.task));
@@ -71,7 +72,7 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
       }
       // A resubmitted straggler can leave two artifacts for the same shard;
       // the per-task results are deterministic, so either copy is correct.
-      results[static_cast<size_t>(task.task)] = task.result;
+      results[static_cast<size_t>(task.task)] = std::move(task.result);
       covered[static_cast<size_t>(task.task)] = true;
     }
   }
@@ -109,7 +110,7 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
 Result<std::vector<core::ExperimentResult>> MergeShardArtifacts(
     const std::vector<core::SweepUnit>& units, const std::vector<std::string>& artifacts) {
   return MergePayloads(
-      units, artifacts.size(), [&](size_t a) -> const std::string& { return artifacts[a]; },
+      units, artifacts.size(), [&](size_t a) -> std::string_view { return artifacts[a]; },
       [](size_t a) { return StrFormat("artifact %zu", a); });
 }
 
@@ -117,18 +118,18 @@ Result<std::vector<core::ExperimentResult>> MergeShardArtifacts(
     const std::vector<core::SweepUnit>& units, const std::vector<NamedArtifact>& artifacts) {
   // Verify every seal before trusting any payload: corruption diagnostics
   // should name the culprit file even when it is not the first artifact.
-  std::vector<std::string> payloads;
+  std::vector<std::string_view> payloads;
   payloads.reserve(artifacts.size());
   for (const NamedArtifact& artifact : artifacts) {
-    Result<std::string> payload = UnsealShardArtifact(artifact.contents);
+    Result<std::string_view> payload = UnsealShardArtifact(artifact.contents);
     if (!payload.ok()) {
       return Status::Corruption(StrFormat("%s: %s", artifact.name.c_str(),
                                           payload.status().message().c_str()));
     }
-    payloads.push_back(*std::move(payload));
+    payloads.push_back(*payload);
   }
   return MergePayloads(
-      units, payloads.size(), [&](size_t a) -> const std::string& { return payloads[a]; },
+      units, payloads.size(), [&](size_t a) { return payloads[a]; },
       [&](size_t a) { return artifacts[a].name; });
 }
 

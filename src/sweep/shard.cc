@@ -131,28 +131,36 @@ void WriteMergeResult(stats::JsonWriter& w, const core::MergeResult& r) {
 // Decode helpers
 // ---------------------------------------------------------------------------
 
-Result<const JsonValue*> Field(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
+Result<const JsonNode*> Field(const JsonNode& obj, const char* key) {
+  const JsonNode* v = obj.Find(key);
   if (v == nullptr) {
     return Status::Corruption(StrFormat("shard artifact: missing field '%s'", key));
   }
   return v;
 }
 
-Status ReadU64(const JsonValue& obj, const char* key, uint64_t* out) {
+size_t CountItems(const JsonNode& array) {
+  size_t count = 0;
+  for ([[maybe_unused]] const JsonNode& item : array.children()) {
+    ++count;
+  }
+  return count;
+}
+
+Status ReadU64(const JsonNode& obj, const char* key, uint64_t* out) {
   auto v = Field(obj, key);
   EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonValue::Kind::kNumber || !(*v)->is_integral || (*v)->is_negative) {
+  if ((*v)->kind != JsonNode::Kind::kNumber || !(*v)->is_integral || (*v)->is_negative) {
     return Status::Corruption(StrFormat("shard artifact: '%s' is not a u64", key));
   }
   *out = (*v)->magnitude;
   return Status::OK();
 }
 
-Status ReadI64(const JsonValue& obj, const char* key, int64_t* out) {
+Status ReadI64(const JsonNode& obj, const char* key, int64_t* out) {
   auto v = Field(obj, key);
   EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonValue::Kind::kNumber || !(*v)->is_integral) {
+  if ((*v)->kind != JsonNode::Kind::kNumber || !(*v)->is_integral) {
     return Status::Corruption(StrFormat("shard artifact: '%s' is not an integer", key));
   }
   uint64_t mag = (*v)->magnitude;
@@ -170,7 +178,7 @@ Status ReadI64(const JsonValue& obj, const char* key, int64_t* out) {
   return Status::OK();
 }
 
-Status ReadInt(const JsonValue& obj, const char* key, int* out) {
+Status ReadInt(const JsonNode& obj, const char* key, int* out) {
   int64_t v = 0;
   EMSIM_RETURN_IF_ERROR(ReadI64(obj, key, &v));
   if (v < INT32_MIN || v > INT32_MAX) {
@@ -180,37 +188,37 @@ Status ReadInt(const JsonValue& obj, const char* key, int* out) {
   return Status::OK();
 }
 
-Status ReadDouble(const JsonValue& obj, const char* key, double* out) {
+Status ReadDouble(const JsonNode& obj, const char* key, double* out) {
   auto v = Field(obj, key);
   EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonValue::Kind::kNumber) {
+  if ((*v)->kind != JsonNode::Kind::kNumber) {
     return Status::Corruption(StrFormat("shard artifact: '%s' is not a number", key));
   }
   *out = (*v)->number;
   return Status::OK();
 }
 
-Status ReadBool(const JsonValue& obj, const char* key, bool* out) {
+Status ReadBool(const JsonNode& obj, const char* key, bool* out) {
   auto v = Field(obj, key);
   EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonValue::Kind::kBool) {
+  if ((*v)->kind != JsonNode::Kind::kBool) {
     return Status::Corruption(StrFormat("shard artifact: '%s' is not a bool", key));
   }
   *out = (*v)->bool_value;
   return Status::OK();
 }
 
-Status ReadString(const JsonValue& obj, const char* key, std::string* out) {
+Status ReadString(const JsonNode& obj, const char* key, std::string* out) {
   auto v = Field(obj, key);
   EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonValue::Kind::kString) {
+  if ((*v)->kind != JsonNode::Kind::kString) {
     return Status::Corruption(StrFormat("shard artifact: '%s' is not a string", key));
   }
-  *out = (*v)->string;
+  out->assign((*v)->string);
   return Status::OK();
 }
 
-Status ReadDiskStats(const JsonValue& obj, disk::DiskStats* s) {
+Status ReadDiskStats(const JsonNode& obj, disk::DiskStats* s) {
   uint64_t max_queue = 0;
   EMSIM_RETURN_IF_ERROR(ReadU64(obj, "requests", &s->requests));
   EMSIM_RETURN_IF_ERROR(ReadU64(obj, "demand_requests", &s->demand_requests));
@@ -231,7 +239,7 @@ Status ReadDiskStats(const JsonValue& obj, disk::DiskStats* s) {
   return Status::OK();
 }
 
-Status ReadAccumulator(const JsonValue& obj, stats::Accumulator* out) {
+Status ReadAccumulator(const JsonNode& obj, stats::Accumulator* out) {
   stats::Accumulator::State s;
   EMSIM_RETURN_IF_ERROR(ReadU64(obj, "count", &s.count));
   if (s.count > 0) {
@@ -244,7 +252,7 @@ Status ReadAccumulator(const JsonValue& obj, stats::Accumulator* out) {
   return Status::OK();
 }
 
-Status ReadMergeResult(const JsonValue& obj, core::MergeResult* r) {
+Status ReadMergeResult(const JsonNode& obj, core::MergeResult* r) {
   EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "total_ms", &r->total_ms));
   EMSIM_RETURN_IF_ERROR(ReadI64(obj, "blocks_merged", &r->blocks_merged));
   EMSIM_RETURN_IF_ERROR(ReadU64(obj, "io_operations", &r->io_operations));
@@ -300,10 +308,11 @@ Status ReadMergeResult(const JsonValue& obj, core::MergeResult* r) {
 
   auto per_disk = Field(obj, "per_disk");
   EMSIM_RETURN_IF_ERROR(per_disk.status());
-  if ((*per_disk)->kind != JsonValue::Kind::kArray) {
+  if ((*per_disk)->kind != JsonNode::Kind::kArray) {
     return Status::Corruption("shard artifact: 'per_disk' is not an array");
   }
-  for (const JsonValue& entry : (*per_disk)->items) {
+  r->per_disk.reserve(CountItems(**per_disk));
+  for (const JsonNode& entry : (*per_disk)->children()) {
     disk::DiskUtilization u;
     EMSIM_RETURN_IF_ERROR(ReadInt(entry, "id", &u.id));
     EMSIM_RETURN_IF_ERROR(ReadDouble(entry, "busy_fraction", &u.busy_fraction));
@@ -316,10 +325,11 @@ Status ReadMergeResult(const JsonValue& obj, core::MergeResult* r) {
 
   auto metrics = Field(obj, "metrics");
   EMSIM_RETURN_IF_ERROR(metrics.status());
-  if ((*metrics)->kind != JsonValue::Kind::kArray) {
+  if ((*metrics)->kind != JsonNode::Kind::kArray) {
     return Status::Corruption("shard artifact: 'metrics' is not an array");
   }
-  for (const JsonValue& entry : (*metrics)->items) {
+  r->metrics.reserve(CountItems(**metrics));
+  for (const JsonNode& entry : (*metrics)->children()) {
     obs::MetricsRegistry::Sample sample;
     EMSIM_RETURN_IF_ERROR(ReadString(entry, "name", &sample.name));
     EMSIM_RETURN_IF_ERROR(ReadDouble(entry, "value", &sample.value));
@@ -374,7 +384,7 @@ std::string SealShardArtifact(std::string payload) {
   return payload;
 }
 
-Result<std::string> UnsealShardArtifact(std::string_view file_contents) {
+Result<std::string_view> UnsealShardArtifact(std::string_view file_contents) {
   constexpr std::string_view kMarker = "#emsim-shard-footer ";
   size_t pos = file_contents.rfind(kMarker);
   if (pos == std::string_view::npos || (pos != 0 && file_contents[pos - 1] != '\n')) {
@@ -406,7 +416,7 @@ Result<std::string> UnsealShardArtifact(std::string_view file_contents) {
                   static_cast<unsigned long long>(got),
                   static_cast<unsigned long long>(want)));
   }
-  return std::string(payload);
+  return payload;
 }
 
 ShardRange ShardSlice(int total_tasks, int shard_index, int num_shards) {
@@ -484,13 +494,13 @@ std::string EncodeShardArtifact(const ShardArtifact& artifact) {
   return w.Take();
 }
 
-Result<ShardArtifact> DecodeShardArtifact(const std::string& text) {
-  Result<JsonValue> parsed = ParseJson(text);
+Result<ShardArtifact> DecodeShardArtifact(std::string_view text) {
+  Result<JsonDocument> parsed = ParseJson(text);
   if (!parsed.ok()) {
     return Status::Corruption(
         StrFormat("shard artifact: %s", parsed.status().message().c_str()));
   }
-  const JsonValue& doc = *parsed;
+  const JsonNode& doc = parsed->root();
   int version = 0;
   EMSIM_RETURN_IF_ERROR(ReadInt(doc, "shard_schema_version", &version));
   if (version != kShardSchemaVersion) {
@@ -522,10 +532,11 @@ Result<ShardArtifact> DecodeShardArtifact(const std::string& text) {
 
   auto tasks = Field(doc, "tasks");
   EMSIM_RETURN_IF_ERROR(tasks.status());
-  if ((*tasks)->kind != JsonValue::Kind::kArray) {
+  if ((*tasks)->kind != JsonNode::Kind::kArray) {
     return Status::Corruption("shard artifact: 'tasks' is not an array");
   }
-  for (const JsonValue& entry : (*tasks)->items) {
+  artifact.tasks.reserve(CountItems(**tasks));
+  for (const JsonNode& entry : (*tasks)->children()) {
     ShardTask task;
     EMSIM_RETURN_IF_ERROR(ReadInt(entry, "task", &task.task));
     EMSIM_RETURN_IF_ERROR(ReadBool(entry, "ok", &task.ok));

@@ -32,10 +32,10 @@ uint64_t Fnv1aDigest(std::string_view bytes);
 /// failure, so resume and merge never trust a torn file.
 std::string SealShardArtifact(std::string payload);
 
-/// Verifies and strips the integrity footer; returns the payload. Errors are
-/// kCorruption and name the defect (missing footer / length mismatch /
-/// digest mismatch).
-Result<std::string> UnsealShardArtifact(std::string_view file_contents);
+/// Verifies and strips the integrity footer; returns the payload, a view
+/// into `file_contents`. Errors are kCorruption and name the defect
+/// (missing footer / length mismatch / digest mismatch).
+Result<std::string_view> UnsealShardArtifact(std::string_view file_contents);
 
 /// A contiguous half-open slice [begin, end) of a SweepGrid's global task
 /// index space.
@@ -89,7 +89,7 @@ struct ShardArtifact {
 std::string EncodeShardArtifact(const ShardArtifact& artifact);
 
 /// Parses and validates a shard artifact document.
-Result<ShardArtifact> DecodeShardArtifact(const std::string& text);
+Result<ShardArtifact> DecodeShardArtifact(std::string_view text);
 
 /// Runs one shard of the grid (the slice ShardSlice picks for
 /// `shard_index`/`shard_count`) and packages the outcome as an artifact.

@@ -105,6 +105,46 @@ TEST(BlockCacheTest, OutOfOrderDepositsBufferUntilLeading) {
   cache.CheckInvariants();
 }
 
+TEST(BlockCacheTest, OutOfOrderDepositAcrossRingWrap) {
+  // A run's offsets live in a ring of 8 slots at first. Move its head to
+  // slot 6, so the next deposits wrap, then deliver one out of order: the
+  // shift that makes room for it must carry offsets back across the wrap.
+  sim::Simulation sim;
+  BlockCache cache = MakeCache(&sim, 16, 1);
+  ASSERT_TRUE(cache.TryReserve(0, 6));
+  for (int64_t offset = 0; offset < 6; ++offset) {
+    cache.Deposit(0, offset);
+    EXPECT_EQ(cache.ConsumeLeading(0), offset);
+  }
+  ASSERT_TRUE(cache.TryReserve(0, 5));
+  for (int64_t offset : {6, 7, 9, 10}) {  // Slots 6, 7, 0, 1.
+    cache.Deposit(0, offset);
+  }
+  cache.Deposit(0, 8);
+  cache.CheckInvariants();
+  for (int64_t offset = 6; offset <= 10; ++offset) {
+    ASSERT_TRUE(cache.HasLeadingBlock(0));
+    EXPECT_EQ(cache.ConsumeLeading(0), offset);
+  }
+
+  // Head at slot 3: fill the ring so it wraps, again out of order, then
+  // overflow it so it grows while wrapped.
+  ASSERT_TRUE(cache.TryReserve(0, 9));
+  for (int64_t offset = 12; offset <= 18; ++offset) {
+    cache.Deposit(0, offset);
+  }
+  cache.Deposit(0, 11);
+  EXPECT_EQ(cache.CachedForRun(0), 8);
+  cache.Deposit(0, 19);
+  cache.CheckInvariants();
+  for (int64_t offset = 11; offset <= 19; ++offset) {
+    ASSERT_TRUE(cache.HasLeadingBlock(0));
+    EXPECT_EQ(cache.ConsumeLeading(0), offset);
+  }
+  EXPECT_EQ(cache.CachedBlocks(), 0);
+  cache.CheckInvariants();
+}
+
 TEST(BlockCacheTest, PerRunIsolation) {
   sim::Simulation sim;
   BlockCache cache = MakeCache(&sim, 10, 3);

@@ -1,15 +1,20 @@
 #include "stats/json_writer.h"
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/result_json.h"
+#include "util/rng.h"
 
 namespace emsim::stats {
 namespace {
@@ -47,6 +52,103 @@ TEST(JsonFormatDoubleTest, NonFiniteBecomesNull) {
             "null");
   EXPECT_EQ(JsonWriter::FormatDouble(-std::numeric_limits<double>::infinity()),
             "null");
+}
+
+// The printf/strtod loop the writer's number path must match byte for byte.
+std::string ReferenceFormatDouble(double v) {
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) {
+      break;
+    }
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+TEST(JsonFormatDoubleTest, MatchesPrintfStrtodOnRandomBitPatterns) {
+  Rng rng(20261017);
+  int mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = FromBits(rng.Next64());
+    const std::string want = ReferenceFormatDouble(v);
+    const std::string got = JsonWriter::FormatDouble(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hexfloat << v << ": " << got << " vs " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonFormatDoubleTest, MatchesPrintfStrtodOnEdgeCases) {
+  std::vector<double> cases = {0.0, -0.0, std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::min(),
+                               std::numeric_limits<double>::denorm_min()};
+  // Subnormals: the smallest few, the largest, and a spread in between.
+  const uint64_t subnormal_bits[] = {1, 2, 3, 0x000FFFFFFFFFFFFF, 0x0008000000000000,
+                                     0x0000000123456789, 0x000ABCDEF0123456};
+  for (uint64_t bits : subnormal_bits) {
+    cases.push_back(FromBits(bits));
+  }
+  for (int e = -1074; e <= 1023; ++e) {  // Every power of two.
+    cases.push_back(std::ldexp(1.0, e));
+  }
+  // 1e15-1e17, where %.15g stops being exact for integers: the decades, their
+  // neighbours, and values stepping across the range.
+  for (double decade : {1e15, 1e16, 1e17}) {
+    cases.push_back(decade);
+    cases.push_back(std::nextafter(decade, 0.0));
+    cases.push_back(std::nextafter(decade, 1e300));
+  }
+  for (double v = 1e15; v <= 1e17; v = v * 1.0009 + 7.0) {
+    cases.push_back(v);
+    cases.push_back(std::nextafter(v, 1e300));
+  }
+  const size_t n = cases.size();
+  for (size_t i = 0; i < n; ++i) {
+    cases.push_back(-cases[i]);
+  }
+  for (double v : cases) {
+    EXPECT_EQ(JsonWriter::FormatDouble(v), ReferenceFormatDouble(v)) << std::hexfloat << v;
+  }
+}
+
+TEST(JsonWriterTest, IntegersAtTheLimits) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Int(std::numeric_limits<int64_t>::min());
+  w.Int(std::numeric_limits<int64_t>::max());
+  w.Int(0);
+  w.Int(-1);
+  w.UInt(std::numeric_limits<uint64_t>::max());
+  w.UInt(0);
+  w.EndArray();
+  EXPECT_EQ(w.Take(),
+            "[\n"
+            "  -9223372036854775808,\n"
+            "  9223372036854775807,\n"
+            "  0,\n"
+            "  -1,\n"
+            "  18446744073709551615,\n"
+            "  0\n"
+            "]\n");
+}
+
+TEST(JsonWriterTest, KeysAndStringsAreEscaped) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Field("a\"key\n", std::string("v\x1f\\"));
+  w.EndObject();
+  EXPECT_EQ(w.Take(), "{\n  \"a\\\"key\\n\": \"v\\u001f\\\\\"\n}\n");
 }
 
 TEST(JsonWriterTest, EmitsExactPrettyPrintedBytes) {

@@ -49,7 +49,11 @@ double MarginalAllocsPerBlock(const MergeConfig& config) {
   return (static_cast<double>(long_allocs) - static_cast<double>(short_allocs)) / extra_blocks;
 }
 
-constexpr double kMaxAllocsPerBlock = 0.05;
+// The cache's per-run offset rings stop growing once a run reaches its peak
+// occupancy, so a longer trial adds only ~0.001 allocations per block
+// (buffers growing to a slightly higher peak). A per-run std::deque, which
+// takes a chunk every 64 blocks, measured ~0.015.
+constexpr double kMaxAllocsPerBlock = 0.005;
 
 TEST(MergeAllocTest, FetchHeavyInterRun) {
   // k=25, D=5, N=1 inter-run unsynchronized: a D-way fetch every few blocks.

@@ -1,5 +1,6 @@
 #include "util/status.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -77,6 +78,13 @@ TEST(ResultTest, MoveOut) {
   Result<std::string> r = std::string("payload");
   std::string s = std::move(r).value();
   EXPECT_EQ(s, "payload");
+}
+
+TEST(ResultTest, DereferencingAnRvalueMovesOut) {
+  Result<std::unique_ptr<int>> r = std::make_unique<int>(5);
+  std::unique_ptr<int> p = *std::move(r);  // Compiles only as a move.
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(*p, 5);
 }
 
 TEST(ResultTest, ArrowOperator) {
