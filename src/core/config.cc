@@ -132,7 +132,8 @@ std::string MergeConfig::ToString() const {
       sync == SyncMode::kSynchronized ? "sync" : "unsync", cpu_ms_per_block,
       static_cast<unsigned long long>(seed));
   if (fault.InjectionEnabled()) {
-    out += " " + fault.ToString();
+    out += ' ';
+    out += fault.ToString();
   }
   return out;
 }

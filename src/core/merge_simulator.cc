@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -30,18 +29,6 @@
 namespace emsim::core {
 
 namespace {
-
-/// Completion tracker for one batch of fetch ops, in a recycled pool slot
-/// addressed by DiskRequest::batch. An unsynchronized batch outlives the
-/// stall that issued it; the slot is recycled once every span has
-/// completed and the merge no longer waits on it.
-struct Batch {
-  explicit Batch(sim::Simulation* sim) : done(sim) {}
-  int pending = 0;  ///< Spans not yet completed.
-  sim::Event done;
-};
-
-constexpr uint32_t kNoBatch = UINT32_MAX;
 
 std::unique_ptr<io::VictimChooser> MakeChooser(VictimPolicy policy) {
   switch (policy) {
@@ -230,12 +217,8 @@ class Engine final : public disk::RequestSink {
       write_drain_->Fire();
       return;
     }
-    Batch& batch = batches_[request.batch];
-    if (--batch.pending == 0) {
-      batch.done.Set();
-      if (awaited_batch_ != request.batch) {
-        ReleaseBatch(request.batch);
-      }
+    if (--fetch_spans_ == 0) {
+      fetch_done_.Fire();
     }
   }
 
@@ -255,9 +238,7 @@ class Engine final : public disk::RequestSink {
         config_.fault.retry.max_retries));
     result_.fault.permanent_failures = retry_->stats().permanent_failures;
     health_->MarkDead(disk);
-    if (awaited_batch_ != kNoBatch) {
-      batches_[awaited_batch_].done.Set();
-    }
+    fetch_done_.Fire();
     for (int r = 0; r < config_.num_runs; ++r) {
       cache_.DepositSignal(r).Fire();
     }
@@ -328,44 +309,10 @@ class Engine final : public disk::RequestSink {
     return false;
   }
 
-  uint32_t AcquireBatch() {
-    if (free_batches_.empty()) {
-      batches_.emplace_back(&sim_);
-      return static_cast<uint32_t>(batches_.size() - 1);
-    }
-    const uint32_t b = free_batches_.back();
-    free_batches_.pop_back();
-    return b;
-  }
-
-  void ReleaseBatch(uint32_t b) {
-    batches_[b].done.Reset();
-    free_batches_.push_back(b);
-  }
-
-  /// Parks the merge on batch `b`: `co_await AwaitBatch(b)`, then
-  /// StopAwaiting(b).
-  sim::Event::Awaiter AwaitBatch(uint32_t b) {
-    awaited_batch_ = b;
-    return batches_[b].done.Wait();
-  }
-
-  /// The merge no longer waits on batch `b`: woken by its completion, or by
-  /// a fault abort while spans are still out (the last span then recycles
-  /// the slot).
-  void StopAwaiting(uint32_t b) {
-    awaited_batch_ = kNoBatch;
-    if (batches_[b].pending == 0) {
-      ReleaseBatch(b);
-    }
-  }
-
-  /// Submits the ops in `ops_` to their disks, advancing fetch offsets and
-  /// wiring deposits + batch completion. Each op may span several disks
-  /// under striped placement; the batch completes when every span does.
-  /// Returns the batch slot.
-  uint32_t IssueOps() {
-    const uint32_t b = AcquireBatch();
+  /// Submits the ops in `ops_` to their disks, advancing fetch offsets.
+  /// Each op may span several disks under striped placement; every span
+  /// counts in fetch_spans_ until it completes.
+  void IssueOps() {
     for (const auto& op : ops_) {
       io::RunState& state = runs_[op.run];
       EMSIM_CHECK_EQ(op.offset, state.next_fetch_offset);
@@ -384,8 +331,7 @@ class Engine final : public disk::RequestSink {
         request.run = op.run;
         request.first_offset = span.first_offset;
         request.offset_stride = span.offset_stride;
-        request.batch = b;
-        ++batches_[b].pending;
+        ++fetch_spans_;
         if (retry_ != nullptr) {
           retry_->Submit(span.disk, request);
         } else {
@@ -393,12 +339,11 @@ class Engine final : public disk::RequestSink {
         }
       }
     }
-    return b;
   }
 
   /// Loads the cache with N blocks from each run (the paper's initial
   /// state), degrading to one block per run when the cache is tight.
-  uint32_t IssuePreload() {
+  void IssuePreload() {
     // Two passes so that a tight cache still yields the mandatory one block
     // per run: first a block for everyone, then top up toward N while
     // frames remain.
@@ -421,7 +366,30 @@ class Engine final : public disk::RequestSink {
         op.nblocks += extra;
       }
     }
-    return IssueOps();
+    IssueOps();
+  }
+
+  /// The paper's demand fetch for `run`: plans the batch, applies admission
+  /// and issues it.
+  void IssueDemandFetch(int run) {
+    EMSIM_CHECK(!runs_[run].FullyRequested());
+    ++result_.io_operations;
+    // A plan drawn while any disk is quarantined/dead is degraded: the
+    // fan-out skipped the sick disks, so even a fully admitted batch is not
+    // the paper's "full DN-block success".
+    bool degraded = health_ != nullptr && health_->DegradedCount(sim_.Now()) > 0;
+    if (degraded) {
+      ++result_.fault.degraded_plans;
+    }
+    if (metric_degraded_disks_ != nullptr) {
+      metric_degraded_disks_->Update(sim_.Now(),
+                                     static_cast<double>(health_->DegradedCount(sim_.Now())));
+    }
+    planner_->Plan(PlannerContext(), run, &ops_);
+    if (Admit() && !degraded) {
+      ++result_.full_admissions;
+    }
+    IssueOps();
   }
 
   /// Sends the buffered output blocks as one write request (round-robin
@@ -448,19 +416,31 @@ class Engine final : public disk::RequestSink {
     }
   }
 
-  /// Records one completed demand wait in the result and the registry.
-  void NoteStall(double ms) {
+  /// The merge still waits for the issued fetch spans to complete.
+  bool AwaitingFetches() const { return !fault_abort_ && fetch_spans_ > 0; }
+
+  /// The merge still waits for the leading block of `run` to arrive.
+  bool AwaitingLeading(int run) const {
+    EMSIM_DCHECK(fault_abort_ || cache_.HasLeadingBlock(run) || cache_.InFlightForRun(run) > 0);
+    return !fault_abort_ && !cache_.HasLeadingBlock(run);
+  }
+
+  /// Records one demand wait that began at `start` in the result and the
+  /// registry. Returns false when a fault aborted the trial meanwhile.
+  bool EndStall(double start) {
+    const double ms = sim_.Now() - start;
+    ++result_.demand_stalls;
     result_.stall_ms.Add(ms);
     metric_stalls_->Increment();
     metric_stall_ms_->Add(ms);
+    return !fault_abort_;
   }
 
   sim::Process MergeLoop() {
     // Initial state: the cache holds (up to) N blocks of every run.
-    {
-      const uint32_t preload = IssuePreload();
-      co_await AwaitBatch(preload);
-      StopAwaiting(preload);
+    IssuePreload();
+    while (AwaitingFetches()) {
+      co_await fetch_done_.Wait();
     }
 
     int64_t remaining = layout_.TotalBlocks();
@@ -473,14 +453,11 @@ class Engine final : public disk::RequestSink {
       if (cache_.HasLeadingBlock(run)) {
         ++result_.cache_hits;
       } else {
-        ++result_.demand_stalls;
-        double stall_start = sim_.Now();
-        while (!fault_abort_ && !cache_.HasLeadingBlock(run)) {
-          EMSIM_DCHECK(cache_.InFlightForRun(run) > 0);
+        const double stall_start = sim_.Now();
+        while (AwaitingLeading(run)) {
           co_await cache_.DepositSignal(run).Wait();
         }
-        NoteStall(sim_.Now() - stall_start);
-        if (fault_abort_) {
+        if (!EndStall(stall_start)) {
           break;
         }
       }
@@ -519,53 +496,24 @@ class Engine final : public disk::RequestSink {
       }
 
       // The paper's demand-fetch rule: if the depleted run has no cached
-      // blocks left, the merge stalls until its next block arrives.
+      // blocks left, the merge stalls until its next block arrives, fetching
+      // it first unless it is already in flight. A synchronized merge waits
+      // out the whole batch, which also delivers the leading block.
       if (remaining > 0 && !state.FullyConsumed() && cache_.CachedForRun(run) == 0) {
+        const double stall_start = sim_.Now();
         if (cache_.InFlightForRun(run) == 0) {
-          EMSIM_CHECK(!state.FullyRequested());
-          ++result_.io_operations;
-          ++result_.demand_stalls;
-          double stall_start = sim_.Now();
-          // A plan drawn while any disk is quarantined/dead is degraded: the
-          // fan-out skipped the sick disks, so even a fully admitted batch
-          // is not the paper's "full DN-block success".
-          bool degraded = health_ != nullptr && health_->DegradedCount(sim_.Now()) > 0;
-          if (degraded) {
-            ++result_.fault.degraded_plans;
+          const bool sync = config_.sync == SyncMode::kSynchronized;
+          EMSIM_DCHECK(!sync || fetch_spans_ == 0);
+          IssueDemandFetch(run);
+          while (sync && AwaitingFetches()) {
+            co_await fetch_done_.Wait();
           }
-          if (metric_degraded_disks_ != nullptr) {
-            metric_degraded_disks_->Update(sim_.Now(),
-                                           static_cast<double>(
-                                               health_->DegradedCount(sim_.Now())));
-          }
-          planner_->Plan(PlannerContext(), run, &ops_);
-          if (Admit() && !degraded) {
-            ++result_.full_admissions;
-          }
-          const uint32_t batch = IssueOps();
-          if (config_.sync == SyncMode::kSynchronized) {
-            co_await AwaitBatch(batch);
-            StopAwaiting(batch);
-          } else {
-            while (!fault_abort_ && !cache_.HasLeadingBlock(run)) {
-              co_await cache_.DepositSignal(run).Wait();
-            }
-          }
-          NoteStall(sim_.Now() - stall_start);
-          if (fault_abort_) {
-            break;
-          }
-        } else {
-          // Blocks already in flight; wait for the leading one.
-          ++result_.demand_stalls;
-          double stall_start = sim_.Now();
-          while (!fault_abort_ && !cache_.HasLeadingBlock(run)) {
-            co_await cache_.DepositSignal(run).Wait();
-          }
-          NoteStall(sim_.Now() - stall_start);
-          if (fault_abort_) {
-            break;
-          }
+        }
+        while (AwaitingLeading(run)) {
+          co_await cache_.DepositSignal(run).Wait();
+        }
+        if (!EndStall(stall_start)) {
+          break;
         }
       }
     }
@@ -643,15 +591,16 @@ class Engine final : public disk::RequestSink {
   obs::Gauge* metric_stall_ms_ = nullptr;
 
   // Fetch-path state, reused by every fetch so a fetch allocates nothing
-  // once the buffers and the batch pool have grown. A deque keeps each
-  // Batch's Event in place while the merge waits on it.
+  // once the buffers have grown.
   std::vector<io::FetchOp> ops_;
   std::vector<io::FetchOp> rest_;
   std::vector<uint32_t> perm_;
   std::vector<disk::RunLayout::Span> spans_;
-  std::deque<Batch> batches_;
-  std::vector<uint32_t> free_batches_;
-  uint32_t awaited_batch_ = kNoBatch;  ///< The batch the merge is parked on.
+  /// Fetch spans issued and not yet completed. The merge waits for them all
+  /// only after the preload and a synchronized fetch, when no other fetch is
+  /// in flight, so the count is exactly that fetch's.
+  int64_t fetch_spans_ = 0;
+  sim::Signal fetch_done_{&sim_};  ///< Pulsed when fetch_spans_ drops to 0.
 
   // Fault machinery (all null/false without injection).
   std::unique_ptr<fault::HealthTracker> health_;

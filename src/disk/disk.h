@@ -72,7 +72,6 @@ struct DiskRequest {
   int run = 0;                ///< Run the blocks belong to.
   int64_t first_offset = 0;   ///< Run offset of block 0 of the request.
   int64_t offset_stride = 1;  ///< Run-offset step between blocks.
-  uint32_t batch = 0;         ///< Issuer's completion-tracker slot.
   uint32_t cookie = 0;        ///< Issuer's own slot (e.g. a retry job).
   RequestProgress* progress = nullptr;
 

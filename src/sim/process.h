@@ -23,9 +23,9 @@ namespace emsim::sim {
 ///     }
 ///     sim.Spawn(Worker(sim, disk));
 ///
-/// Processes are fire-and-forget: completion is communicated through Events,
-/// Semaphores or Mailboxes, exactly as in CSIM models. The coroutine frame is
-/// owned by the kernel once spawned and frees itself at completion.
+/// Processes are fire-and-forget: completion is communicated through Events
+/// and Signals, as in CSIM models. The coroutine frame is owned by the
+/// kernel once spawned and frees itself at completion.
 class Process {
  public:
   struct promise_type {

@@ -13,7 +13,7 @@ namespace emsim {
 
 /// Small-buffer vector for the kernel's waiter lists: the first `N` elements
 /// live inline (no heap), growth beyond that moves to the heap. Waiter lists
-/// on Event/Signal/Semaphore hold 0–2 entries almost all of the time, so the
+/// on Event/Signal hold 0–2 entries almost all of the time, so the
 /// common case never allocates. Restricted to trivially copyable element
 /// types (coroutine handles, pointers) so growth and moves are memcpy.
 template <typename T, std::size_t N>
@@ -102,77 +102,6 @@ class InlineVec {
   }
 
   T* data_ = nullptr;  // Null while the inline buffer is in use.
-  uint32_t size_ = 0;
-  uint32_t capacity_ = static_cast<uint32_t>(N);
-  alignas(T) unsigned char inline_storage_[N * sizeof(T)];
-};
-
-/// Small-buffer FIFO ring for the kernel's handoff queues (Semaphore and
-/// Mailbox waiters): pop_front is O(1) with no shifting, and the first `N`
-/// entries live inline. Same trivially-copyable restriction as InlineVec.
-template <typename T, std::size_t N>
-class InlineQueue {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "InlineQueue is for trivially copyable elements (handles, pointers)");
-  static_assert(N >= 1, "inline capacity must be at least 1");
-
- public:
-  InlineQueue() = default;
-
-  InlineQueue(const InlineQueue&) = delete;
-  InlineQueue& operator=(const InlineQueue&) = delete;
-
-  ~InlineQueue() {
-    if (OnHeap()) {
-      ::operator delete(data_);
-    }
-  }
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  void push_back(T value) {
-    if (size_ == capacity_) {
-      Grow();
-    }
-    Data()[(head_ + size_) % capacity_] = value;
-    ++size_;
-  }
-
-  T& front() {
-    EMSIM_DCHECK(size_ > 0);
-    return Data()[head_];
-  }
-
-  void pop_front() {
-    EMSIM_DCHECK(size_ > 0);
-    head_ = (head_ + 1) % capacity_;
-    --size_;
-  }
-
- private:
-  bool OnHeap() const { return data_ != nullptr; }
-  T* InlineData() { return reinterpret_cast<T*>(inline_storage_); }
-  T* Data() { return OnHeap() ? data_ : InlineData(); }
-
-  void Grow() {
-    uint32_t new_capacity = capacity_ * 2;
-    T* heap = static_cast<T*>(::operator new(new_capacity * sizeof(T)));
-    // Linearize the ring while copying so head_ restarts at zero.
-    T* old = Data();
-    for (uint32_t i = 0; i < size_; ++i) {
-      heap[i] = old[(head_ + i) % capacity_];
-    }
-    if (OnHeap()) {
-      ::operator delete(data_);
-    }
-    data_ = heap;
-    capacity_ = new_capacity;
-    head_ = 0;
-  }
-
-  T* data_ = nullptr;  // Null while the inline buffer is in use.
-  uint32_t head_ = 0;
   uint32_t size_ = 0;
   uint32_t capacity_ = static_cast<uint32_t>(N);
   alignas(T) unsigned char inline_storage_[N * sizeof(T)];

@@ -1,4 +1,5 @@
 #include <cstddef>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,16 @@ TEST(MergeConfigTest, ValidationRejectsNonsense) {
   EXPECT_FALSE(cfg.Validate().ok());
 
   EXPECT_TRUE(SmallConfig().Validate().ok());
+}
+
+TEST(MergeConfigTest, ToStringAppendsTheFaultSpecOnlyWhenInjecting) {
+  MergeConfig cfg = SmallConfig();
+  const std::string plain = cfg.ToString();
+  EXPECT_EQ(plain.find("fault{"), std::string::npos);
+  EXPECT_EQ(plain.back(), '}');
+
+  cfg.fault.fail_stop_disk = 1;
+  EXPECT_EQ(cfg.ToString(), plain + " " + cfg.fault.ToString());
 }
 
 TEST(MergeConfigTest, TraceValidation) {

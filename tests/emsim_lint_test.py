@@ -18,7 +18,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools" / "lint"))
 
 import emsim_lint  # noqa: E402
-import include_hygiene  # noqa: E402
 
 
 def rules_fired(relpath, text):
@@ -354,74 +353,6 @@ class NoBlockingInSimTest(unittest.TestCase):
         findings, suppressions = emsim_lint.lint_text("src/x.cc", text)
         self.assertEqual([], findings)
         self.assertEqual(["no-blocking-in-sim"], [s["rule"] for s in suppressions])
-
-
-class IncludeHygieneFixtureTest(unittest.TestCase):
-    def run_tree(self, files):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            for relpath, text in files.items():
-                path = root / relpath
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text)
-            _, findings, suppressions = include_hygiene.run(root)
-            return findings, suppressions
-
-    THING_H = ("#ifndef EMSIM_UTIL_THING_H_\n"
-               "#define EMSIM_UTIL_THING_H_\n"
-               "struct Thing {};\n"
-               "#endif\n")
-
-    def test_unused_std_include_is_flagged(self):
-        findings, _ = self.run_tree(
-            {"src/a.cc": "#include <vector>\n\nint Answer() { return 42; }\n"})
-        self.assertEqual(["unused-include"], [f["kind"] for f in findings])
-        self.assertEqual("<vector>", findings[0]["what"])
-
-    def test_used_std_include_is_clean(self):
-        findings, _ = self.run_tree(
-            {"src/a.cc": "#include <vector>\n\nstd::vector<int> V() { return {}; }\n"})
-        self.assertEqual([], findings)
-
-    def test_unused_project_include_is_flagged(self):
-        findings, _ = self.run_tree({
-            "src/util/thing.h": self.THING_H,
-            "src/a.cc": '#include "util/thing.h"\n\nint Answer() { return 42; }\n',
-        })
-        flagged = [(f["kind"], f["path"], f["what"]) for f in findings]
-        self.assertIn(("unused-include", "src/a.cc", '"util/thing.h"'), flagged)
-
-    def test_missing_direct_include_for_project_symbol(self):
-        findings, _ = self.run_tree({
-            "src/util/thing.h": self.THING_H,
-            "src/a.cc": "Thing Make();\n\nThing Make() { return Thing{}; }\n",
-        })
-        missing = [f for f in findings if f["kind"] == "missing-direct-include"]
-        self.assertEqual(1, len(missing))
-        self.assertEqual("Thing", missing[0]["what"])
-        self.assertEqual(["src/util/thing.h"], missing[0]["candidates"])
-
-    def test_missing_direct_include_for_std_symbol(self):
-        findings, _ = self.run_tree(
-            {"src/a.cc": "int N(const std::vector<int>& v) { return (int)v.size(); }\n"})
-        missing = [(f["kind"], f["what"]) for f in findings]
-        self.assertIn(("missing-direct-include", "<vector>"), missing)
-
-    def test_allow_directive_suppresses_and_is_reported(self):
-        findings, suppressions = self.run_tree({
-            "src/a.cc": "#include <vector>  // emsim-lint: allow(include-hygiene)\n"
-                        "\nint Answer() { return 42; }\n"})
-        self.assertEqual([], findings)
-        self.assertEqual(1, len(suppressions))
-        self.assertEqual("unused-include", suppressions[0]["kind"])
-
-    def test_associated_header_include_is_never_flagged(self):
-        findings, _ = self.run_tree({
-            "src/util/thing.h": self.THING_H,
-            "src/util/thing.cc": '#include "util/thing.h"\n\nint Unrelated() { return 0; }\n',
-        })
-        self.assertEqual(
-            [], [f for f in findings if f["path"] == "src/util/thing.cc"])
 
 
 class IncludeGuardTest(unittest.TestCase):

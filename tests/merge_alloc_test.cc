@@ -73,8 +73,7 @@ TEST(MergeAllocTest, GreedyAdmissionUnderTightCache) {
 }
 
 TEST(MergeAllocTest, Synchronized) {
-  // The merge waits on every batch, so batch slots cycle through the
-  // awaited state.
+  // The merge waits for every fetch to complete before it continues.
   MergeConfig config =
       MergeConfig::Paper(25, 5, 2, Strategy::kAllDisksOneRun, SyncMode::kSynchronized);
   EXPECT_LT(MarginalAllocsPerBlock(config), kMaxAllocsPerBlock);

@@ -2,22 +2,17 @@
 // MetricsRegistry per simulation, never shared across threads —
 // RunTrialsParallel runs one simulation (and thus one registry) per trial on
 // worker threads, so the supported concurrent pattern is many independent
-// registries ticking at once. SharedRegistry is the synchronized complement
-// for the aggregation side (dispatcher observers, cross-trial roll-ups):
-// one instance deliberately hammered from many threads. Both halves carry
-// the `thread` label so the EMSIM_SANITIZE=thread CI job verifies there is
-// no hidden shared state behind the unsynchronized API and no data race
-// inside the synchronized one.
+// registries ticking at once. The suite carries the `thread` label so the
+// EMSIM_SANITIZE=thread CI job verifies there is no hidden shared state
+// behind the unsynchronized API.
 
 #include <cstddef>
-#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "obs/shared_registry.h"
 
 namespace emsim::obs {
 namespace {
@@ -77,87 +72,6 @@ TEST(MetricsRegistryConcurrencyTest, DisabledRegistriesPerThread) {
   for (std::thread& worker : workers) {
     worker.join();
   }
-}
-
-TEST(SharedRegistryConcurrencyTest, ConcurrentUpdatesAggregateExactly) {
-  constexpr int kThreads = 4;
-  constexpr int kTicks = 20000;
-  SharedRegistry shared(/*enabled=*/true);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&shared] {
-      for (int i = 0; i < kTicks; ++i) {
-        shared.IncrementCounter("dispatch.events");
-        shared.AddGauge("dispatch.inflight", 1.0);
-        shared.AddGauge("dispatch.inflight", -1.0);
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  double events = -1.0;
-  for (const MetricsRegistry::Sample& sample : shared.Samples()) {
-    if (sample.name == "dispatch.events") {
-      events = sample.value;
-    }
-    if (sample.name == "dispatch.inflight") {
-      EXPECT_EQ(sample.value, 0.0);
-    }
-  }
-  // No lost update: every increment from every thread lands.
-  EXPECT_EQ(events, static_cast<double>(kThreads) * kTicks);
-}
-
-TEST(SharedRegistryConcurrencyTest, SnapshotsAreConsistentUnderWriters) {
-  // Each writer iteration bumps `a` then `b`, so in any atomic-point
-  // snapshot a - b is between 0 and the writer count. A torn snapshot (or
-  // a data race TSan would flag) breaks that envelope.
-  constexpr int kWriters = 3;
-  constexpr int kTicks = 10000;
-  constexpr int kSnapshots = 200;
-  SharedRegistry shared(/*enabled=*/true);
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&shared] {
-      for (int i = 0; i < kTicks; ++i) {
-        shared.IncrementCounter("pair.a");
-        shared.IncrementCounter("pair.b");
-      }
-    });
-  }
-  std::thread reader([&shared] {
-    for (int s = 0; s < kSnapshots; ++s) {
-      double a = 0.0;
-      double b = 0.0;
-      for (const MetricsRegistry::Sample& sample : shared.Samples()) {
-        if (sample.name == "pair.a") {
-          a = sample.value;
-        } else if (sample.name == "pair.b") {
-          b = sample.value;
-        }
-      }
-      EXPECT_GE(a, b);
-      EXPECT_LE(a - b, static_cast<double>(kWriters));
-    }
-  });
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  reader.join();
-  double a = 0.0;
-  double b = 0.0;
-  for (const MetricsRegistry::Sample& sample : shared.Samples()) {
-    if (sample.name == "pair.a") {
-      a = sample.value;
-    } else if (sample.name == "pair.b") {
-      b = sample.value;
-    }
-  }
-  EXPECT_EQ(a, static_cast<double>(kWriters) * kTicks);
-  EXPECT_EQ(b, static_cast<double>(kWriters) * kTicks);
 }
 
 }  // namespace

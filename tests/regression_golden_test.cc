@@ -4,10 +4,18 @@
 // change was intended — update the constant and EXPERIMENTS.md — or a
 // regression slipped in.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/config.h"
 #include "core/merge_simulator.h"
+#include "core/result.h"
+#include "core/result_json.h"
+#include "disk/layout.h"
+#include "stats/json_writer.h"
+#include "sweep/shard.h"
+#include "util/status.h"
 
 namespace emsim::core {
 namespace {
@@ -63,6 +71,160 @@ TEST(GoldenTest, StallDistributionsDifferByStrategy) {
   // the ones that remain on average.
   EXPECT_LT(a->stall_ms.Mean() * static_cast<double>(a->stall_ms.count()),
             d->stall_ms.Mean() * static_cast<double>(d->stall_ms.count()));
+}
+
+MergeConfig WaitPathBase(Strategy strategy, SyncMode sync) {
+  MergeConfig cfg = MergeConfig::Paper(10, 5, 4, strategy, sync);
+  cfg.blocks_per_run = 100;
+  return cfg;
+}
+
+struct WaitPathPin {
+  uint64_t digest;  ///< FNV-1a of the trial's result JSON.
+  uint64_t sim_events;
+  uint64_t demand_stalls;
+  uint64_t cache_hits;
+};
+
+MergeResult ExpectPinned(const char* label, const MergeConfig& cfg, const WaitPathPin& pin) {
+  Result<MergeResult> result = SimulateMerge(cfg);
+  EXPECT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+  if (!result.ok()) {
+    return MergeResult();
+  }
+  stats::JsonWriter w;
+  WriteJson(w, *result);
+  EXPECT_EQ(sweep::Fnv1aDigest(w.Take()), pin.digest) << label;
+  EXPECT_EQ(result->sim_events, pin.sim_events) << label;
+  EXPECT_EQ(result->demand_stalls, pin.demand_stalls) << label;
+  EXPECT_EQ(result->cache_hits, pin.cache_hits) << label;
+  return *result;
+}
+
+// One test per way the merge can wait: on a leading block already in
+// flight, on a whole synchronized batch, on multi-disk spans, on write-behind
+// backpressure and on retried spans, plus the abort of an unreadable run.
+// The result bytes and the calendar event count catch any change to when a
+// wait starts, ends or is counted; the fig-3.2 and sweep goldens carry no
+// write traffic, striped placement or abort.
+TEST(MergeWaitPathTest, UnsyncInterRun) {
+  MergeConfig cfg = WaitPathBase(Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  cfg.collect_metrics = true;
+  ExpectPinned("unsync inter-run", cfg, {9007734110516957774ULL, 1517, 153, 1000});
+}
+
+// Striped demand-run misses mostly at the top of the loop: 989 of 1000
+// leading blocks are hits, the rest wait for a block already in flight.
+TEST(MergeWaitPathTest, StripedDemandRunUnsync) {
+  MergeConfig cfg = WaitPathBase(Strategy::kDemandRunOnly, SyncMode::kUnsynchronized);
+  cfg.placement = disk::RunPlacement::kStriped;
+  ExpectPinned("striped demand-run unsync", cfg, {8443309138116355236ULL, 3349, 275, 989});
+}
+
+TEST(MergeWaitPathTest, SyncInterRun) {
+  MergeConfig cfg = WaitPathBase(Strategy::kAllDisksOneRun, SyncMode::kSynchronized);
+  cfg.collect_metrics = true;
+  ExpectPinned("sync inter-run", cfg, {14709700306815016818ULL, 1550, 48, 1000});
+}
+
+TEST(MergeWaitPathTest, StripedDemandRunSync) {
+  MergeConfig cfg = WaitPathBase(Strategy::kDemandRunOnly, SyncMode::kSynchronized);
+  cfg.placement = disk::RunPlacement::kStriped;
+  ExpectPinned("striped demand-run sync", cfg, {7898484124662992749ULL, 3211, 240, 1000});
+}
+
+TEST(MergeWaitPathTest, GreedyTightCacheSharedWrites) {
+  MergeConfig cfg = WaitPathBase(Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  cfg.admission = AdmissionPolicy::kGreedy;
+  cfg.cache_blocks = 30;
+  cfg.write_traffic = WriteTraffic::kSharedDisks;
+  cfg.write_batch_blocks = 5;
+  cfg.write_buffer_blocks = 15;
+  cfg.collect_metrics = true;
+  const MergeResult written = ExpectPinned("greedy tight cache, shared writes", cfg,
+                                           {2501143249140632238ULL, 3308, 339, 1000});
+  EXPECT_GT(written.write_stalls, 0u);
+}
+
+TEST(MergeWaitPathTest, SeparateWriteDisksSync) {
+  MergeConfig cfg = WaitPathBase(Strategy::kAllDisksOneRun, SyncMode::kSynchronized);
+  cfg.write_traffic = WriteTraffic::kSeparateDisks;
+  cfg.num_write_disks = 2;
+  ExpectPinned("separate write disks, sync", cfg, {6906611962187544657ULL, 2702, 48, 1000});
+}
+
+TEST(MergeWaitPathTest, MediaErrorsAndTimeouts) {
+  MergeConfig cfg = WaitPathBase(Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  cfg.fault.media_error_rate = 0.05;
+  cfg.fault.latency_spike_rate = 0.1;
+  cfg.fault.latency_spike_ms = 80.0;
+  cfg.fault.retry.timeout_ms = 60.0;
+  const MergeResult recovered = ExpectPinned("media errors and timeouts", cfg,
+                                             {3284913007761581078ULL, 2148, 173, 999});
+  EXPECT_GT(recovered.fault.timeouts, 0u);
+  EXPECT_GT(recovered.fault.media_errors, 0u);
+}
+
+// A disk that stops at t=0 aborts the trial while it waits out the preload.
+TEST(MergeWaitPathTest, FailStopAbortsThePreload) {
+  MergeConfig cfg = WaitPathBase(Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  cfg.fault.fail_stop_disk = 1;
+  cfg.fault.retry.timeout_ms = 50.0;
+  cfg.fault.retry.max_retries = 2;
+  Result<MergeResult> aborted = SimulateMerge(cfg);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().ToString(),
+            "IoError: run unreadable: disk 1 span at block 0 (4 blocks) failed after 2 retries");
+}
+
+// The same disk stopping for good mid-merge aborts the trial from the wait
+// in progress: a synchronized merge is waiting out a batch, an
+// unsynchronized one a leading block, and a merge with write-behind may be
+// parked on the write buffer. Each must surface the unreadable span and end.
+MergeConfig StopsMidMerge(Strategy strategy, SyncMode sync) {
+  MergeConfig cfg = WaitPathBase(strategy, sync);
+  cfg.fault.fail_stop_disk = 1;
+  cfg.fault.fail_stop_start_ms = 1000.0;
+  cfg.fault.retry.timeout_ms = 50.0;
+  cfg.fault.retry.max_retries = 2;
+  return cfg;
+}
+
+TEST(MergeWaitPathTest, FailStopAbortsASynchronizedBatchWait) {
+  Result<MergeResult> aborted =
+      SimulateMerge(StopsMidMerge(Strategy::kAllDisksOneRun, SyncMode::kSynchronized));
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().ToString(),
+            "IoError: run unreadable: disk 1 span at block 88 (4 blocks) failed after 2 retries");
+}
+
+TEST(MergeWaitPathTest, FailStopAbortsALeadingBlockWait) {
+  Result<MergeResult> aborted =
+      SimulateMerge(StopsMidMerge(Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized));
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().ToString(),
+            "IoError: run unreadable: disk 1 span at block 196 (4 blocks) failed after 2 retries");
+}
+
+TEST(MergeWaitPathTest, FailStopAbortsAStripedDemandWait) {
+  MergeConfig cfg = StopsMidMerge(Strategy::kDemandRunOnly, SyncMode::kSynchronized);
+  cfg.placement = disk::RunPlacement::kStriped;
+  Result<MergeResult> aborted = SimulateMerge(cfg);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().ToString(),
+            "IoError: run unreadable: disk 1 span at block 107 (1 blocks) failed after 2 retries");
+}
+
+TEST(MergeWaitPathTest, FailStopAbortsWithWritesOutstanding) {
+  MergeConfig cfg = StopsMidMerge(Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  cfg.cache_blocks = 30;
+  cfg.write_traffic = WriteTraffic::kSharedDisks;
+  cfg.write_batch_blocks = 5;
+  cfg.write_buffer_blocks = 15;
+  Result<MergeResult> aborted = SimulateMerge(cfg);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().ToString(),
+            "IoError: run unreadable: disk 1 span at block 114 (1 blocks) failed after 2 retries");
 }
 
 }  // namespace

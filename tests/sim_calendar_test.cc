@@ -182,8 +182,8 @@ class CalendarContractTest : public ::testing::TestWithParam<Start> {
 
 INSTANTIATE_TEST_SUITE_P(Start, CalendarContractTest,
                          ::testing::Values(Start::kHeap, Start::kQueue),
-                         [](const ::testing::TestParamInfo<Start>& info) {
-                           return std::string(info.param == Start::kHeap ? "heap" : "cq");
+                         [](const ::testing::TestParamInfo<Start>& start_info) {
+                           return std::string(start_info.param == Start::kHeap ? "heap" : "cq");
                          });
 
 TEST_P(CalendarContractTest, RunMatchesReferenceModel) {

@@ -6,10 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event.h"
-#include "sim/mailbox.h"
 #include "sim/process.h"
-#include "sim/resource.h"
-#include "sim/semaphore.h"
 #include "sim/simulation.h"
 
 namespace emsim::sim {
@@ -156,161 +153,52 @@ TEST(SignalTest, FireWithNoWaitersIsLost) {
   EXPECT_EQ(signal.NumWaiters(), 0u);
 }
 
-Process Acquirer(Simulation& sim, Semaphore& sem, std::vector<double>& log) {
-  co_await sem.Acquire();
-  log.push_back(sim.Now());
-  co_await Delay(10.0);
-  sem.Release();
+Process SignalWaiter(Simulation& sim, Signal& signal, std::vector<std::string>& log,
+                     std::string name) {
+  co_await signal.Wait();
+  log.push_back(name + "@" + std::to_string(sim.Now()));
 }
 
-TEST(SemaphoreTest, SerializesByTokens) {
+Process Firer(Simulation& /*sim*/, Signal& signal, double at) {
+  co_await Delay(at);
+  signal.Fire();
+}
+
+TEST(SignalTest, PulseWakesWaitersInArrivalOrder) {
   Simulation sim;
-  Semaphore sem(&sim, 1);
-  std::vector<double> log;
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn(Acquirer(sim, sem, log));
-  }
+  Signal signal(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(SignalWaiter(sim, signal, log, "a"));
+  sim.Spawn(SignalWaiter(sim, signal, log, "b"));
+  sim.Spawn(SignalWaiter(sim, signal, log, "c"));
+  sim.Spawn(Firer(sim, signal, 2.0));
   sim.Run();
   ASSERT_EQ(log.size(), 3u);
-  EXPECT_DOUBLE_EQ(log[0], 0.0);
-  EXPECT_DOUBLE_EQ(log[1], 10.0);
-  EXPECT_DOUBLE_EQ(log[2], 20.0);
+  EXPECT_EQ(log[0], "a@2.000000");
+  EXPECT_EQ(log[1], "b@2.000000");
+  EXPECT_EQ(log[2], "c@2.000000");
+  EXPECT_EQ(signal.NumWaiters(), 0u);
 }
 
-TEST(SemaphoreTest, TwoTokensDoubleConcurrency) {
-  Simulation sim;
-  Semaphore sem(&sim, 2);
-  std::vector<double> log;
-  for (int i = 0; i < 4; ++i) {
-    sim.Spawn(Acquirer(sim, sem, log));
-  }
-  sim.Run();
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_DOUBLE_EQ(log[1], 0.0);
-  EXPECT_DOUBLE_EQ(log[3], 10.0);
-}
+// A pulse and a latch wake their one waiter through the same calendar
+// entries, so a model may swap one for the other without moving any event.
+TEST(SignalTest, PulseAndLatchWakeOneWaiterAtTheSameEventCost) {
+  Simulation pulsed;
+  Signal signal(&pulsed);
+  std::vector<std::string> pulse_log;
+  pulsed.Spawn(SignalWaiter(pulsed, signal, pulse_log, "w"));
+  pulsed.Spawn(Firer(pulsed, signal, 3.0));
+  pulsed.Run();
 
-TEST(SemaphoreTest, TryAcquireNonBlocking) {
-  Simulation sim;
-  Semaphore sem(&sim, 1);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-}
+  Simulation latched;
+  Event event(&latched);
+  std::vector<std::string> latch_log;
+  latched.Spawn(Waiter(latched, event, latch_log, "w"));
+  latched.Spawn(Setter(latched, event, 3.0));
+  latched.Run();
 
-Process Thief(Simulation& /*sim*/, Semaphore& sem, bool& stole) {
-  co_await Delay(5.0);
-  stole = sem.TryAcquire();
-}
-
-Process HoldAndRelease(Simulation& /*sim*/, Semaphore& sem, double hold) {
-  co_await sem.Acquire();
-  co_await Delay(hold);
-  sem.Release();
-}
-
-Process LateAcquirer(Simulation& sim, Semaphore& sem, double& when) {
-  co_await Delay(1.0);
-  co_await sem.Acquire();
-  when = sim.Now();
-  sem.Release();
-}
-
-TEST(SemaphoreTest, ReleaseHandsOffToWaiterNotThief) {
-  // A waiter queued before a TryAcquire thief must get the token.
-  Simulation sim;
-  Semaphore sem(&sim, 1);
-  double waiter_got = -1;
-  bool stole = true;
-  sim.Spawn(HoldAndRelease(sim, sem, 5.0));  // Holds [0,5).
-  sim.Spawn(LateAcquirer(sim, sem, waiter_got));
-  sim.Spawn(Thief(sim, sem, stole));  // Tries exactly at release time.
-  sim.Run();
-  EXPECT_DOUBLE_EQ(waiter_got, 5.0);
-  EXPECT_FALSE(stole);
-}
-
-Process UseResource(Simulation& /*sim*/, Resource& res, double hold) {
-  co_await res.Acquire();
-  co_await Delay(hold);
-  res.Release();
-}
-
-TEST(ResourceTest, UtilizationAccounting) {
-  Simulation sim;
-  Resource res(&sim, 1);
-  sim.Spawn(UseResource(sim, res, 10.0));
-  sim.Spawn(UseResource(sim, res, 10.0));
-  sim.Run();
-  res.FlushStats();
-  EXPECT_EQ(res.completions(), 2u);
-  EXPECT_EQ(res.busy_servers(), 0);
-  EXPECT_NEAR(res.MeanBusyServers(), 1.0, 1e-9);  // Busy the whole 20 ms.
-  EXPECT_NEAR(res.BusyFraction(), 1.0, 1e-9);
-}
-
-TEST(ResourceTest, MultiServerConcurrency) {
-  Simulation sim;
-  Resource res(&sim, 3);
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn(UseResource(sim, res, 10.0));
-  }
-  sim.Run();
-  res.FlushStats();
-  EXPECT_NEAR(res.MeanBusyServers(), 3.0, 1e-9);
-}
-
-TEST(ResourceTest, TryAcquireRespectsCapacity) {
-  Simulation sim;
-  Resource res(&sim, 2);
-  EXPECT_TRUE(res.TryAcquire());
-  EXPECT_TRUE(res.TryAcquire());
-  EXPECT_FALSE(res.TryAcquire());
-  EXPECT_EQ(res.busy_servers(), 2);
-  res.Release();
-  EXPECT_EQ(res.busy_servers(), 1);
-}
-
-Process Producer(Simulation& /*sim*/, Mailbox<int>& box) {
-  for (int i = 0; i < 5; ++i) {
-    co_await Delay(1.0);
-    box.Put(i);
-  }
-}
-
-Process Consumer(Simulation& /*sim*/, Mailbox<int>& box, std::vector<int>& got, int n) {
-  for (int i = 0; i < n; ++i) {
-    int v = co_await box.Get();
-    got.push_back(v);
-  }
-}
-
-TEST(MailboxTest, DeliversInOrder) {
-  Simulation sim;
-  Mailbox<int> box(&sim);
-  std::vector<int> got;
-  sim.Spawn(Consumer(sim, box, got, 5));
-  sim.Spawn(Producer(sim, box));
-  sim.Run();
-  ASSERT_EQ(got.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(MailboxTest, BuffersWhenNoReceiver) {
-  Simulation sim;
-  Mailbox<int> box(&sim);
-  box.Put(7);
-  box.Put(8);
-  EXPECT_EQ(box.Size(), 2u);
-  std::vector<int> got;
-  sim.Spawn(Consumer(sim, box, got, 2));
-  sim.Run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 7);
-  EXPECT_EQ(got[1], 8);
+  EXPECT_EQ(pulse_log, latch_log);
+  EXPECT_EQ(pulsed.events_processed(), latched.events_processed());
 }
 
 Process BlockForever(Simulation& /*sim*/, Event& never) { co_await never.Wait(); }

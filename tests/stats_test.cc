@@ -5,7 +5,6 @@
 
 #include "stats/accumulator.h"
 #include "stats/confidence.h"
-#include "stats/histogram.h"
 #include "stats/series.h"
 #include "stats/table.h"
 #include "stats/time_weighted.h"
@@ -115,47 +114,6 @@ TEST(ConfidenceTest, CoverageOnNormalishData) {
     covered += MeanConfidence95(a).Contains(5.0);
   }
   EXPECT_GT(covered, experiments * 0.88);
-}
-
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0, 10, 10);
-  h.Add(-1);   // underflow -> first bucket
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(15);   // overflow -> last bucket
-  EXPECT_EQ(h.TotalCount(), 4u);
-  EXPECT_EQ(h.Underflow(), 1u);
-  EXPECT_EQ(h.Overflow(), 1u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(9), 2u);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(i + 0.5);
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-  EXPECT_LE(h.Quantile(0.0), h.Quantile(1.0));
-}
-
-TEST(HistogramTest, ApproxMean) {
-  Histogram h(0, 10, 10);
-  for (int i = 0; i < 1000; ++i) {
-    h.Add(5.0);
-  }
-  EXPECT_NEAR(h.ApproxMean(), 5.5, 0.51);  // Bucket midpoint of [5,6).
-}
-
-TEST(HistogramTest, AsciiRendering) {
-  Histogram h(0, 2, 2);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  std::string art = h.ToAscii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_NE(art.find('\n'), std::string::npos);
 }
 
 TEST(TimeWeightedTest, PiecewiseAverage) {

@@ -1841,7 +1841,7 @@ def analyze_program(files: dict):
                     emit(rule, fn["file"], fact["line"],
                          f"{fact['detail']} in a coroutine TU; simulated "
                          "time and synchronization must come from the "
-                         "calendar (sim::Delay, Events, Semaphores)",
+                         "calendar (sim::Delay, Events, Signals)",
                          fact["kind"])
             elif rule == "shared-state-unguarded":
                 if fact["kind"] == "local-static" and fact.get("mutated") \
@@ -1934,7 +1934,7 @@ def analyze_program(files: dict):
                     emit(rule, rel, fact["line"],
                          "std::coroutine_handle outside src/sim/ defeats the "
                          "frame-pool/calendar ownership bookkeeping; "
-                         "communicate through Events/Semaphores/Mailboxes",
+                         "communicate through sim Events and Signals",
                          fact["kind"])
             elif rule == "pointer-ordering":
                 emit(rule, rel, fact["line"],

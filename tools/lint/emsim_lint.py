@@ -319,7 +319,7 @@ CORO_REF_CAPTURE_MESSAGE = (
 CORO_RAW_HANDLE_MESSAGE = (
     "std::coroutine_handle outside src/sim/: raw handles escaping the frame-"
     "pool/calendar machinery defeat its ownership bookkeeping (double-destroy, "
-    "resume-after-free); communicate through Events/Semaphores/Mailboxes")
+    "resume-after-free); communicate through sim Events and Signals")
 NO_BLOCKING_IN_SIM_MESSAGE = (
     "blocking primitive in a coroutine translation unit: simulated time must "
     "come from the calendar (co_await sim::Delay), never from the host "

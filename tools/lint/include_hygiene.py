@@ -222,8 +222,11 @@ def strip_comments_and_strings(text: str) -> str:
 _NAMESPACE_OPEN_RE = re.compile(r"\b(?:inline\s+)?namespace\b[^{};]*\{")
 _DECL_RES = (
     re.compile(r"#\s*define\s+([A-Za-z_]\w*)"),
+    # Skips `[[attr]]`, `alignas(...)` and a macro attribute such as
+    # `EMSIM_CAPABILITY("mutex")` (all caps, optional argument list).
     re.compile(r"\b(?:class|struct|union)\s+(?:\[\[[^\]]*\]\]\s*)?"
-               r"(?:alignas\([^)]*\)\s*)?([A-Za-z_]\w*)"),
+               r"(?:alignas\([^)]*\)\s*)?(?:[A-Z][A-Z0-9_]+(?:\([^)]*\))?\s+)?"
+               r"([A-Za-z_]\w*)"),
     re.compile(r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)"),
     re.compile(r"\busing\s+([A-Za-z_]\w*)\s*="),
     re.compile(r"\btypedef\s+[^;]*?\b([A-Za-z_]\w*)\s*;"),
