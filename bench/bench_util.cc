@@ -10,6 +10,7 @@
 #include "core/result_json.h"
 #include "stats/ascii_chart.h"
 #include "util/atomic_file.h"
+#include "util/check.h"
 #include "util/status.h"
 #include "util/str.h"
 
@@ -77,16 +78,21 @@ core::ExperimentResult Record(const core::MergeConfig& config,
 }  // namespace
 
 core::ExperimentResult Run(const core::MergeConfig& config, const std::string& name) {
-  return Record(config, core::RunTrialsParallel(config, Trials(), Threads()), name);
+  return Record(config, core::RunTrials(config, Trials(), Threads()), name);
 }
 
 std::vector<core::ExperimentResult> RunSweep(const std::vector<core::MergeConfig>& configs) {
-  std::vector<core::ExperimentResult> results =
-      core::RunSweepParallel(configs, Trials(), Threads());
+  std::vector<core::SweepUnit> units;
+  units.reserve(configs.size());
+  for (const core::MergeConfig& config : configs) {
+    units.push_back(core::SweepUnit{"", config, Trials()});
+  }
+  Result<std::vector<core::ExperimentResult>> results = core::RunSweep(units, Threads());
+  EMSIM_CHECK_MSG(results.ok(), results.status().ToString().c_str());
   std::vector<core::ExperimentResult> out;
-  out.reserve(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    out.push_back(Record(configs[i], std::move(results[i]), ""));
+  out.reserve(results->size());
+  for (size_t i = 0; i < results->size(); ++i) {
+    out.push_back(Record(configs[i], std::move((*results)[i]), ""));
   }
   return out;
 }

@@ -157,6 +157,9 @@ struct MergeConfig {
   /// disks at depth N.
   static MergeConfig Paper(int num_runs, int num_disks, int n, Strategy strategy,
                            SyncMode sync);
+
+  /// Field-for-field equality (spec round-trip tests compare with it).
+  bool operator==(const MergeConfig&) const = default;
 };
 
 /// Stable string names for the configuration enums (used by the CLI tool,

@@ -78,19 +78,6 @@ void ApplyDeadline(MergeConfig& config, const TrialDeadline& deadline) {
   }
 }
 
-std::vector<ExperimentResult> AggregateGrid(const SweepGrid& grid,
-                                            std::vector<MergeResult> results) {
-  std::vector<ExperimentResult> out;
-  out.reserve(static_cast<size_t>(grid.num_units()));
-  for (int u = 0; u < grid.num_units(); ++u) {
-    auto first = results.begin() + grid.UnitBegin(u);
-    auto last = results.begin() + grid.UnitBegin(u) + grid.units()[static_cast<size_t>(u)].trials;
-    out.push_back(AggregateTrials(
-        std::vector<MergeResult>(std::make_move_iterator(first), std::make_move_iterator(last))));
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ExperimentResult::ToString() const {
@@ -166,23 +153,28 @@ SweepRangeOutcome RunSweepRange(const SweepGrid& grid, int begin, int end, int n
   return out;
 }
 
-ExperimentResult RunTrials(const MergeConfig& config, int num_trials,
+std::vector<ExperimentResult> AggregateGrid(const SweepGrid& grid,
+                                            std::vector<MergeResult> results) {
+  std::vector<ExperimentResult> out;
+  out.reserve(static_cast<size_t>(grid.num_units()));
+  for (int u = 0; u < grid.num_units(); ++u) {
+    auto first = results.begin() + grid.UnitBegin(u);
+    auto last = first + grid.units()[static_cast<size_t>(u)].trials;
+    out.push_back(AggregateTrials(
+        std::vector<MergeResult>(std::make_move_iterator(first), std::make_move_iterator(last))));
+  }
+  return out;
+}
+
+Status SweepTaskFailure(int task, const Status& status) {
+  return Status(status.code(),
+                StrFormat("sweep task %d failed: %s", task, status.ToString().c_str()));
+}
+
+ExperimentResult RunTrials(const MergeConfig& config, int num_trials, int num_threads,
                            const TrialDeadline& deadline) {
   EMSIM_CHECK(num_trials >= 1);
   SweepGrid grid({SweepUnit{"", config, num_trials}});
-  // Serial (single-threaded) execution, trial order — the reference runner.
-  SweepRangeOutcome outcome = RunSweepRange(grid, 0, grid.total_tasks(), 1, deadline);
-  EMSIM_CHECK_MSG(outcome.ok(),
-                  StrFormat("trial %d failed: %s", outcome.failed_task,
-                            outcome.status.ToString().c_str())
-                      .c_str());
-  return AggregateTrials(std::move(outcome.results));
-}
-
-ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
-                                   int num_threads, const TrialDeadline& deadline) {
-  EMSIM_CHECK(num_trials >= 1);
-  SweepGrid grid({SweepUnit{"", config, num_trials}});
   SweepRangeOutcome outcome = RunSweepRange(grid, 0, grid.total_tasks(), num_threads, deadline);
   EMSIM_CHECK_MSG(outcome.ok(),
                   StrFormat("trial %d failed: %s", outcome.failed_task,
@@ -191,29 +183,13 @@ ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
   return AggregateTrials(std::move(outcome.results));
 }
 
-std::vector<ExperimentResult> RunSweepParallel(const std::vector<MergeConfig>& configs,
-                                               int num_trials, int num_threads,
-                                               const TrialDeadline& deadline) {
-  EMSIM_CHECK(num_trials >= 1);
-  std::vector<SweepUnit> units;
-  units.reserve(configs.size());
-  for (const MergeConfig& config : configs) {
-    units.push_back(SweepUnit{"", config, num_trials});
-  }
-  return RunSweep(units, num_threads, deadline);
-}
-
-std::vector<ExperimentResult> RunSweep(const std::vector<SweepUnit>& units, int num_threads,
-                                       const TrialDeadline& deadline) {
-  if (units.empty()) {
-    return {};
-  }
+Result<std::vector<ExperimentResult>> RunSweep(const std::vector<SweepUnit>& units,
+                                               int num_threads, const TrialDeadline& deadline) {
   SweepGrid grid(units);
   SweepRangeOutcome outcome = RunSweepRange(grid, 0, grid.total_tasks(), num_threads, deadline);
-  EMSIM_CHECK_MSG(outcome.ok(),
-                  StrFormat("sweep task %d failed: %s", outcome.failed_task,
-                            outcome.status.ToString().c_str())
-                      .c_str());
+  if (!outcome.ok()) {
+    return SweepTaskFailure(outcome.failed_task, outcome.status);
+  }
   return AggregateGrid(grid, std::move(outcome.results));
 }
 

@@ -119,42 +119,36 @@ SweepRangeOutcome RunSweepRange(const SweepGrid& grid, int begin, int end, int n
                                 const TrialDeadline& deadline = {});
 
 /// Aggregates one unit's trials, in trial order, into an ExperimentResult.
-/// Exposed so the shard merger can rebuild the exact aggregate a
-/// single-process run would have produced from the same per-trial results.
 ExperimentResult AggregateTrials(std::vector<MergeResult> trials);
 
-/// Runs `num_trials` trials with seeds seed, seed+1, ... and aggregates.
-/// Aborts on configuration errors (experiments are programmed, not user
-/// input); use MergeSimulator::Run directly for Status-based handling.
-ExperimentResult RunTrials(const MergeConfig& config, int num_trials,
+/// Aggregates a whole grid's per-task results (indexed by global task) into
+/// one ExperimentResult per unit, in unit order. RunSweep and the shard
+/// merger both end here, which is what makes their outputs bit-identical.
+std::vector<ExperimentResult> AggregateGrid(const SweepGrid& grid,
+                                            std::vector<MergeResult> results);
+
+/// The error a sweep reports for its lowest-index failing task:
+/// "sweep task <task> failed: <status>", keeping the task's status code.
+Status SweepTaskFailure(int task, const Status& status);
+
+/// Runs `num_trials` trials with seeds seed, seed+1, ... on up to
+/// `num_threads` pool threads (1 = inline in seed order, 0 = hardware
+/// concurrency) and aggregates them in seed order, so the result is
+/// bit-identical for every thread count. Aborts on the lowest-index trial
+/// failure ("trial <i> failed: ...", reported from the joining thread):
+/// experiments are programmed, not user input; use RunSweep or
+/// SimulateMerge for Status-based handling.
+ExperimentResult RunTrials(const MergeConfig& config, int num_trials, int num_threads = 1,
                            const TrialDeadline& deadline = {});
 
-/// Same trials, run on the process-wide worker pool with `num_threads`-way
-/// parallelism (0 = hardware concurrency). Each trial's simulation is fully
-/// independent and deterministic per seed, and trials are aggregated in seed
-/// order, so the aggregate is bit-identical to RunTrials for every thread
-/// count. A trial failure is reported from the joining thread (the worker
-/// records the failure with the lowest trial index; the join aborts with its
-/// status), never from inside a pool worker.
-ExperimentResult RunTrialsParallel(const MergeConfig& config, int num_trials,
-                                   int num_threads = 0,
-                                   const TrialDeadline& deadline = {});
-
-/// Runs `num_trials` trials of every config in `configs` on the shared
-/// worker pool, flattening the config × trial grid into one task space so a
-/// sweep keeps all threads busy even when per-config trial counts are small.
-/// Results are aggregated per config, in the order given, with the same
-/// bit-identical-to-serial guarantee as RunTrialsParallel.
-std::vector<ExperimentResult> RunSweepParallel(const std::vector<MergeConfig>& configs,
-                                               int num_trials, int num_threads = 0,
+/// Runs every unit's trials as one flattened task grid on up to
+/// `num_threads` pool threads (0 = hardware concurrency), so a sweep keeps
+/// all threads busy even when per-unit trial counts are small. Results are
+/// aggregated per unit, in the order given; a task failure returns
+/// SweepTaskFailure for the lowest failing task index.
+Result<std::vector<ExperimentResult>> RunSweep(const std::vector<SweepUnit>& units,
+                                               int num_threads = 0,
                                                const TrialDeadline& deadline = {});
-
-/// Per-unit generalization of RunSweepParallel (units may differ in trial
-/// count — the shape an experiment spec file produces). Aborts on the
-/// lowest-index task failure like the other runners.
-std::vector<ExperimentResult> RunSweep(const std::vector<SweepUnit>& units,
-                                       int num_threads = 0,
-                                       const TrialDeadline& deadline = {});
 
 /// Default trial count used by the benches (the paper's count is lost to
 /// OCR; 5 gives sub-1% confidence half-widths at these run lengths).

@@ -76,6 +76,8 @@ struct DiskParams {
 
   /// The paper's parameter set (also the default constructor's values).
   static DiskParams Paper();
+
+  bool operator==(const DiskParams&) const = default;
 };
 
 }  // namespace emsim::disk

@@ -41,6 +41,8 @@ struct Geometry {
   Status Validate() const;
 
   std::string ToString() const;
+
+  bool operator==(const Geometry&) const = default;
 };
 
 }  // namespace emsim::disk

@@ -67,6 +67,8 @@ struct RetryPolicy {
   double BackoffMs(int retry) const;
 
   Status Validate() const;
+
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 /// Scalar fault-injection knobs for one simulated merge — the CLI/spec-facing
@@ -113,6 +115,8 @@ struct FaultConfig {
   Status Validate(int num_disks) const;
 
   std::string ToString() const;
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 /// Per-request fault verdict drawn when a request enters service.

@@ -17,9 +17,10 @@ namespace emsim::sim {
 /// the working set is reserved once and reused for the rest of the thread's
 /// lifetime — steady-state spawn/finish cycles do not touch the heap.
 ///
-/// The pool is thread-local, which makes it both lock-free and safe under
-/// RunTrialsParallel: a Simulation and every frame it owns live and die on
-/// one thread, so allocation and deallocation always hit the same pool.
+/// The pool is thread-local, which makes it both lock-free and safe under a
+/// threaded RunTrials or RunSweep: a Simulation and every frame it owns live
+/// and die on one thread, so allocation and deallocation always hit the same
+/// pool.
 class FramePool {
  public:
   /// Allocation counters for the calling thread's pool. `bytes_reserved` is

@@ -26,7 +26,7 @@ class Process;
 ///
 /// Single-threaded by design: determinism and reproducibility outrank
 /// parallel speed for a simulation that completes in milliseconds. (Whole
-/// trials parallelize across Simulations; see core::RunTrialsParallel.)
+/// trials parallelize across Simulations; see core::RunSweep.)
 ///
 /// Hot-path layout: the calendar orders 16-byte trivially copyable entries
 /// (see CalEntry) whose payload is a tagged index into one of three recycled

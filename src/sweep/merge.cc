@@ -78,11 +78,9 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
   }
 
   if (failed_task != std::numeric_limits<int>::max()) {
-    // The exact message a single-process RunSweep would have aborted with:
-    // lowest-index capture is shard- and thread-count independent.
-    return Status(failed_status.code(),
-                  StrFormat("sweep task %d failed: %s", failed_task,
-                            failed_status.ToString().c_str()));
+    // The exact error a single-process RunSweep returns: lowest-index
+    // capture is shard- and thread-count independent.
+    return core::SweepTaskFailure(failed_task, failed_status);
   }
   for (int t = 0; t < total; ++t) {
     if (!covered[static_cast<size_t>(t)]) {
@@ -93,16 +91,7 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
     }
   }
 
-  std::vector<core::ExperimentResult> out;
-  out.reserve(units.size());
-  for (int u = 0; u < grid.num_units(); ++u) {
-    auto first = results.begin() + grid.UnitBegin(u);
-    auto last = first + units[static_cast<size_t>(u)].trials;
-    out.push_back(core::AggregateTrials(
-        std::vector<core::MergeResult>(std::make_move_iterator(first),
-                                       std::make_move_iterator(last))));
-  }
-  return out;
+  return core::AggregateGrid(grid, std::move(results));
 }
 
 }  // namespace

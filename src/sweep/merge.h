@@ -21,18 +21,19 @@ struct NamedArtifact {
 ///
 /// Determinism contract (pinned by sweep_shard_test): for any shard count
 /// and any assignment of shards to workers, the merged vector is
-/// bit-identical to what core::RunSweep(units, ...) computes in one
-/// process — trials are re-aggregated in global task order from exact
-/// round-tripped per-trial results. Consequently the JSON rendered from the
-/// merged aggregates is byte-identical to the single-process artifact.
+/// bit-identical to what core::RunSweep(units, ...) returns in one
+/// process — both aggregate through core::AggregateGrid, here from exact
+/// round-tripped per-trial results in global task order. Consequently the
+/// JSON rendered from the merged aggregates is byte-identical to the
+/// single-process artifact.
 ///
 /// Validation: every artifact's spec digest must match `units`; together
 /// the artifacts must cover every task index exactly once (duplicate shard
 /// indices with identical ranges are tolerated — a resubmitted straggler
 /// may race its first attempt — but conflicting or missing coverage is an
 /// error). A captured task failure surfaces as the failure with the lowest
-/// global task index, formatted exactly like the single-process runners'
-/// abort: "sweep task <i> failed: <status>".
+/// global task index, as the same core::SweepTaskFailure a single-process
+/// RunSweep returns: "sweep task <i> failed: <status>".
 Result<std::vector<core::ExperimentResult>> MergeShardArtifacts(
     const std::vector<core::SweepUnit>& units, const std::vector<std::string>& artifacts);
 

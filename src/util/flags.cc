@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "util/str.h"
@@ -48,6 +49,9 @@ void FlagSet::AddInt(const std::string& name, int* value, const std::string& hel
   flag.set = [value](const std::string& text) {
     int64_t v = 0;
     EMSIM_RETURN_IF_ERROR(ParseInt64(text, &v));
+    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument(StrFormat("out of range for int: '%s'", text.c_str()));
+    }
     *value = static_cast<int>(v);
     return Status::OK();
   };
@@ -132,8 +136,17 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
       return Status::InvalidArgument(
           StrFormat("flag --%s: %s", name.c_str(), set.message().c_str()));
     }
+    given_[name] = value;
   }
   return Status::OK();
+}
+
+std::optional<std::string> FlagSet::Given(const std::string& name) const {
+  auto it = given_.find(name);
+  if (it == given_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 std::string FlagSet::Usage() const {

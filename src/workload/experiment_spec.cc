@@ -8,6 +8,7 @@
 #include <limits>
 #include <utility>
 
+#include "fault/fault_plan.h"
 #include "util/str.h"
 
 namespace emsim::workload {
@@ -30,27 +31,46 @@ std::string Where(const std::string& source, int line) {
                         : StrFormat("%s:%d", source.c_str(), line);
 }
 
-Status ApplyKey(const std::string& key, const std::string& value, ExperimentSpec* spec,
-                const std::string& source, int line) {
-  auto bad = [&](const std::string& why) {
+/// ApplyExperimentKey with the error prefixed by its spec location.
+Status ApplyKeyAt(const std::string& key, const std::string& value, ExperimentSpec* spec,
+                  const std::string& source, int line) {
+  Status status = ApplyExperimentKey(key, value, spec);
+  if (!status.ok()) {
     return Status::InvalidArgument(
-        StrFormat("%s: %s", Where(source, line).c_str(), why.c_str()));
+        StrFormat("%s: %s", Where(source, line).c_str(), status.message().c_str()));
+  }
+  return status;
+}
+
+/// Renders a double with %g when that reads back to the same value, and
+/// with %.17g (always exact) otherwise, so ToSpec keeps its short form for
+/// every value a person would type.
+std::string Num(double v) {
+  std::string text = StrFormat("%g", v);
+  return std::strtod(text.c_str(), nullptr) == v ? text : StrFormat("%.17g", v);
+}
+
+}  // namespace
+
+Status ApplyExperimentKey(const std::string& key, const std::string& value,
+                          ExperimentSpec* spec) {
+  auto bad = [&](const char* what) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' is %s for key '%s'", value.c_str(), what, key.c_str()));
   };
   auto parse_int = [&](int64_t* out) -> Status {
     char* end = nullptr;
     errno = 0;
     long long v = std::strtoll(value.c_str(), &end, 10);
     if (end == value.c_str() || *end != '\0') {
-      return bad(StrFormat("'%s' is not an integer for key '%s'", value.c_str(),
-                           key.c_str()));
+      return bad("not an integer");
     }
     // strtoll saturates on overflow; without this check a huge literal would
     // be accepted, then truncated to garbage by the narrowing casts below
     // (found by fuzz_experiment_spec: the saturated value breaks the
     // ToSpec -> ParseExperimentSpec round-trip).
     if (errno == ERANGE) {
-      return bad(StrFormat("'%s' is out of range for key '%s'", value.c_str(),
-                           key.c_str()));
+      return bad("out of range");
     }
     *out = v;
     return Status::OK();
@@ -60,8 +80,7 @@ Status ApplyKey(const std::string& key, const std::string& value, ExperimentSpec
     EMSIM_RETURN_IF_ERROR(parse_int(&wide));
     if (wide < std::numeric_limits<int>::min() ||
         wide > std::numeric_limits<int>::max()) {
-      return bad(StrFormat("'%s' is out of range for key '%s'", value.c_str(),
-                           key.c_str()));
+      return bad("out of range");
     }
     *out = static_cast<int>(wide);
     return Status::OK();
@@ -70,125 +89,118 @@ Status ApplyKey(const std::string& key, const std::string& value, ExperimentSpec
     char* end = nullptr;
     double v = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0') {
-      return bad(StrFormat("'%s' is not a number for key '%s'", value.c_str(), key.c_str()));
+      return bad("not a number");
     }
     // strtod accepts "nan" and "inf"; both slip past Validate's `x < 0`
     // range checks and abort deep inside the simulation.
     if (!std::isfinite(v)) {
-      return bad(StrFormat("'%s' is not a finite number for key '%s'", value.c_str(),
-                           key.c_str()));
+      return bad("not a finite number");
     }
     *out = v;
     return Status::OK();
   };
+  // Seeds span uint64_t, which ToSpec prints unsigned; strtoull also reads
+  // a negative literal as its two's-complement seed.
+  auto parse_seed = [&](uint64_t* out) -> Status {
+    char* end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0') {
+      return bad("not an integer");
+    }
+    if (errno == ERANGE) {
+      return bad("out of range");
+    }
+    *out = v;
+    return Status::OK();
+  };
+  auto set_enum = [](auto parsed, auto* out) -> Status {
+    if (!parsed.ok()) {
+      return parsed.status();
+    }
+    *out = *parsed;
+    return Status::OK();
+  };
 
   core::MergeConfig& cfg = spec->config;
-  int64_t v = 0;
   if (key == "runs") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.num_runs));
+    return parse_int32(&cfg.num_runs);
   } else if (key == "disks") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.num_disks));
+    return parse_int32(&cfg.num_disks);
   } else if (key == "blocks") {
-    EMSIM_RETURN_IF_ERROR(parse_int(&v));
-    cfg.blocks_per_run = v;
+    return parse_int(&cfg.blocks_per_run);
   } else if (key == "n") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.prefetch_depth));
+    return parse_int32(&cfg.prefetch_depth);
   } else if (key == "cache") {
-    EMSIM_RETURN_IF_ERROR(parse_int(&v));
-    cfg.cache_blocks = v;
+    return parse_int(&cfg.cache_blocks);
   } else if (key == "seed") {
-    EMSIM_RETURN_IF_ERROR(parse_int(&v));
-    cfg.seed = static_cast<uint64_t>(v);
+    return parse_seed(&cfg.seed);
   } else if (key == "trials") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&spec->trials));
-    if (spec->trials < 1) {
-      return bad("trials must be >= 1");
+    int trials = 0;
+    EMSIM_RETURN_IF_ERROR(parse_int32(&trials));
+    if (trials < 1) {
+      return Status::InvalidArgument("trials must be >= 1");
     }
+    spec->trials = trials;
+    return Status::OK();
   } else if (key == "strategy") {
-    auto parsed = core::ParseStrategy(value);
-    if (!parsed.ok()) {
-      return bad(parsed.status().message());
-    }
-    cfg.strategy = *parsed;
+    return set_enum(core::ParseStrategy(value), &cfg.strategy);
   } else if (key == "sync") {
-    auto parsed = core::ParseSyncMode(value);
-    if (!parsed.ok()) {
-      return bad(parsed.status().message());
-    }
-    cfg.sync = *parsed;
+    return set_enum(core::ParseSyncMode(value), &cfg.sync);
   } else if (key == "admission") {
-    auto parsed = core::ParseAdmissionPolicy(value);
-    if (!parsed.ok()) {
-      return bad(parsed.status().message());
-    }
-    cfg.admission = *parsed;
+    return set_enum(core::ParseAdmissionPolicy(value), &cfg.admission);
   } else if (key == "victim") {
-    auto parsed = core::ParseVictimPolicy(value);
-    if (!parsed.ok()) {
-      return bad(parsed.status().message());
-    }
-    cfg.victim = *parsed;
+    return set_enum(core::ParseVictimPolicy(value), &cfg.victim);
   } else if (key == "depletion") {
     auto parsed = core::ParseDepletionKind(value);
-    if (!parsed.ok()) {
-      return bad(parsed.status().message());
+    if (parsed.ok() && *parsed == core::DepletionKind::kTrace) {
+      return Status::InvalidArgument("trace depletion cannot be expressed in a spec file");
     }
-    if (*parsed == core::DepletionKind::kTrace) {
-      return bad("trace depletion cannot be expressed in a spec file");
-    }
-    cfg.depletion = *parsed;
+    return set_enum(std::move(parsed), &cfg.depletion);
   } else if (key == "zipf_theta") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.zipf_theta));
+    return parse_double(&cfg.zipf_theta);
   } else if (key == "cpu_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.cpu_ms_per_block));
+    return parse_double(&cfg.cpu_ms_per_block);
   } else if (key == "write_traffic") {
-    auto parsed = core::ParseWriteTraffic(value);
-    if (!parsed.ok()) {
-      return bad(parsed.status().message());
-    }
-    cfg.write_traffic = *parsed;
+    return set_enum(core::ParseWriteTraffic(value), &cfg.write_traffic);
   } else if (key == "write_disks") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.num_write_disks));
+    return parse_int32(&cfg.num_write_disks);
   } else if (key == "write_batch") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.write_batch_blocks));
+    return parse_int32(&cfg.write_batch_blocks);
   } else if (key == "fault_media_error_rate") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.media_error_rate));
+    return parse_double(&cfg.fault.media_error_rate);
   } else if (key == "fault_spike_rate") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.latency_spike_rate));
+    return parse_double(&cfg.fault.latency_spike_rate);
   } else if (key == "fault_spike_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.latency_spike_ms));
+    return parse_double(&cfg.fault.latency_spike_ms);
   } else if (key == "fault_slow_disk") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.fault.fail_slow_disk));
+    return parse_int32(&cfg.fault.fail_slow_disk);
   } else if (key == "fault_slow_factor") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.fail_slow_factor));
+    return parse_double(&cfg.fault.fail_slow_factor);
   } else if (key == "fault_slow_start_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.fail_slow_start_ms));
+    return parse_double(&cfg.fault.fail_slow_start_ms);
   } else if (key == "fault_slow_end_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.fail_slow_end_ms));
+    return parse_double(&cfg.fault.fail_slow_end_ms);
   } else if (key == "fault_stop_disk") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.fault.fail_stop_disk));
+    return parse_int32(&cfg.fault.fail_stop_disk);
   } else if (key == "fault_stop_start_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.fail_stop_start_ms));
+    return parse_double(&cfg.fault.fail_stop_start_ms);
   } else if (key == "fault_stop_end_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.fail_stop_end_ms));
+    return parse_double(&cfg.fault.fail_stop_end_ms);
   } else if (key == "fault_seed") {
-    EMSIM_RETURN_IF_ERROR(parse_int(&v));
-    cfg.fault.seed = static_cast<uint64_t>(v);
+    return parse_seed(&cfg.fault.seed);
   } else if (key == "fault_max_retries") {
-    EMSIM_RETURN_IF_ERROR(parse_int32(&cfg.fault.retry.max_retries));
+    return parse_int32(&cfg.fault.retry.max_retries);
   } else if (key == "fault_timeout_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.retry.timeout_ms));
+    return parse_double(&cfg.fault.retry.timeout_ms);
   } else if (key == "fault_backoff_ms") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.retry.backoff_base_ms));
+    return parse_double(&cfg.fault.retry.backoff_base_ms);
   } else if (key == "fault_backoff_mult") {
-    EMSIM_RETURN_IF_ERROR(parse_double(&cfg.fault.retry.backoff_multiplier));
+    return parse_double(&cfg.fault.retry.backoff_multiplier);
   } else {
-    return bad(StrFormat("unknown key '%s'", key.c_str()));
+    return Status::InvalidArgument(StrFormat("unknown key '%s'", key.c_str()));
   }
-  return Status::OK();
 }
-
-}  // namespace
 
 namespace {
 
@@ -228,7 +240,7 @@ Status ExpandSection(const ExperimentSpec& defaults, const RawSection& section,
     for (const auto& [spec, name] : variants) {
       for (const std::string& v : values) {
         ExperimentSpec candidate = spec;
-        EMSIM_RETURN_IF_ERROR(ApplyKey(kv.key, v, &candidate, source, kv.line));
+        EMSIM_RETURN_IF_ERROR(ApplyKeyAt(kv.key, v, &candidate, source, kv.line));
         std::string candidate_name =
             values.size() == 1 ? name : name + "/" + kv.key + "=" + v;
         next.emplace_back(std::move(candidate), std::move(candidate_name));
@@ -300,7 +312,7 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpec(const std::string& text,
             StrFormat("%s: sweeps are only allowed inside sections",
                       Where(source, line_number).c_str()));
       }
-      EMSIM_RETURN_IF_ERROR(ApplyKey(key, value, &defaults, source, line_number));
+      EMSIM_RETURN_IF_ERROR(ApplyKeyAt(key, value, &defaults, source, line_number));
     } else {
       current->kvs.push_back(RawKv{key, value, line_number});
     }
@@ -339,60 +351,72 @@ Result<std::vector<ExperimentSpec>> LoadExperimentSpec(const std::string& path) 
 
 std::string ToSpec(const ExperimentSpec& spec) {
   const core::MergeConfig& cfg = spec.config;
+  const fault::FaultConfig& fault = cfg.fault;
+  const core::MergeConfig defaults;
   std::string out = StrFormat("[%s]\n", spec.name.empty() ? "experiment" : spec.name.c_str());
-  out += StrFormat("runs = %d\n", cfg.num_runs);
-  out += StrFormat("disks = %d\n", cfg.num_disks);
-  out += StrFormat("blocks = %lld\n", static_cast<long long>(cfg.blocks_per_run));
-  out += StrFormat("n = %d\n", cfg.prefetch_depth);
+  auto put = [&out](const char* key, const std::string& text) {
+    out.append(key).append(" = ").append(text).push_back('\n');
+  };
+  // An optional key is written when it shapes this experiment (`used`) and
+  // whenever it differs from its default, so parsing the output restores
+  // every field.
+  auto put_num = [&](bool used, const char* key, double value, double fallback) {
+    if (used || value != fallback) {
+      put(key, Num(value));
+    }
+  };
+  auto put_int = [&](bool used, const char* key, int value, int fallback) {
+    if (used || value != fallback) {
+      put(key, StrFormat("%d", value));
+    }
+  };
+  put("runs", StrFormat("%d", cfg.num_runs));
+  put("disks", StrFormat("%d", cfg.num_disks));
+  put("blocks", StrFormat("%lld", static_cast<long long>(cfg.blocks_per_run)));
+  put("n", StrFormat("%d", cfg.prefetch_depth));
   if (cfg.cache_blocks != core::MergeConfig::kAutoCache) {
-    out += StrFormat("cache = %lld\n", static_cast<long long>(cfg.cache_blocks));
+    put("cache", StrFormat("%lld", static_cast<long long>(cfg.cache_blocks)));
   }
-  out += StrFormat("strategy = %s\n", core::StrategyName(cfg.strategy));
-  out += StrFormat("sync = %s\n", core::SyncModeName(cfg.sync));
-  out += StrFormat("admission = %s\n", core::AdmissionPolicyName(cfg.admission));
-  out += StrFormat("victim = %s\n", core::VictimPolicyName(cfg.victim));
-  out += StrFormat("depletion = %s\n", core::DepletionKindName(cfg.depletion));
-  if (cfg.depletion == core::DepletionKind::kZipf) {
-    out += StrFormat("zipf_theta = %g\n", cfg.zipf_theta);
+  put("strategy", core::StrategyName(cfg.strategy));
+  put("sync", core::SyncModeName(cfg.sync));
+  put("admission", core::AdmissionPolicyName(cfg.admission));
+  put("victim", core::VictimPolicyName(cfg.victim));
+  put("depletion", core::DepletionKindName(cfg.depletion));
+  put_num(cfg.depletion == core::DepletionKind::kZipf, "zipf_theta", cfg.zipf_theta,
+          defaults.zipf_theta);
+  put_num(false, "cpu_ms", cfg.cpu_ms_per_block, defaults.cpu_ms_per_block);
+  const bool writes = cfg.write_traffic != core::WriteTraffic::kNone;
+  if (writes) {
+    put("write_traffic", core::WriteTrafficName(cfg.write_traffic));
   }
-  if (cfg.cpu_ms_per_block > 0) {
-    out += StrFormat("cpu_ms = %g\n", cfg.cpu_ms_per_block);
+  put_int(writes, "write_disks", cfg.num_write_disks, defaults.num_write_disks);
+  put_int(writes, "write_batch", cfg.write_batch_blocks, defaults.write_batch_blocks);
+  const fault::FaultConfig& none = defaults.fault;
+  put_num(false, "fault_media_error_rate", fault.media_error_rate, none.media_error_rate);
+  put_num(false, "fault_spike_rate", fault.latency_spike_rate, none.latency_spike_rate);
+  put_num(fault.latency_spike_rate > 0, "fault_spike_ms", fault.latency_spike_ms,
+          none.latency_spike_ms);
+  const bool slow = fault.fail_slow_disk >= 0;
+  put_int(slow, "fault_slow_disk", fault.fail_slow_disk, none.fail_slow_disk);
+  put_num(slow, "fault_slow_factor", fault.fail_slow_factor, none.fail_slow_factor);
+  put_num(slow, "fault_slow_start_ms", fault.fail_slow_start_ms, none.fail_slow_start_ms);
+  put_num(slow, "fault_slow_end_ms", fault.fail_slow_end_ms, none.fail_slow_end_ms);
+  const bool stop = fault.fail_stop_disk >= 0;
+  put_int(stop, "fault_stop_disk", fault.fail_stop_disk, none.fail_stop_disk);
+  put_num(stop, "fault_stop_start_ms", fault.fail_stop_start_ms, none.fail_stop_start_ms);
+  put_num(stop, "fault_stop_end_ms", fault.fail_stop_end_ms, none.fail_stop_end_ms);
+  if (fault.seed != none.seed) {
+    put("fault_seed", StrFormat("%llu", static_cast<unsigned long long>(fault.seed)));
   }
-  if (cfg.write_traffic != core::WriteTraffic::kNone) {
-    out += StrFormat("write_traffic = %s\n", core::WriteTrafficName(cfg.write_traffic));
-    out += StrFormat("write_disks = %d\n", cfg.num_write_disks);
-    out += StrFormat("write_batch = %d\n", cfg.write_batch_blocks);
-  }
-  if (cfg.fault.InjectionEnabled()) {
-    if (cfg.fault.media_error_rate > 0) {
-      out += StrFormat("fault_media_error_rate = %g\n", cfg.fault.media_error_rate);
-    }
-    if (cfg.fault.latency_spike_rate > 0) {
-      out += StrFormat("fault_spike_rate = %g\n", cfg.fault.latency_spike_rate);
-      out += StrFormat("fault_spike_ms = %g\n", cfg.fault.latency_spike_ms);
-    }
-    if (cfg.fault.fail_slow_disk >= 0) {
-      out += StrFormat("fault_slow_disk = %d\n", cfg.fault.fail_slow_disk);
-      out += StrFormat("fault_slow_factor = %g\n", cfg.fault.fail_slow_factor);
-      out += StrFormat("fault_slow_start_ms = %g\n", cfg.fault.fail_slow_start_ms);
-      out += StrFormat("fault_slow_end_ms = %g\n", cfg.fault.fail_slow_end_ms);
-    }
-    if (cfg.fault.fail_stop_disk >= 0) {
-      out += StrFormat("fault_stop_disk = %d\n", cfg.fault.fail_stop_disk);
-      out += StrFormat("fault_stop_start_ms = %g\n", cfg.fault.fail_stop_start_ms);
-      out += StrFormat("fault_stop_end_ms = %g\n", cfg.fault.fail_stop_end_ms);
-    }
-    if (cfg.fault.seed != 0) {
-      out += StrFormat("fault_seed = %llu\n",
-                       static_cast<unsigned long long>(cfg.fault.seed));
-    }
-    out += StrFormat("fault_max_retries = %d\n", cfg.fault.retry.max_retries);
-    out += StrFormat("fault_timeout_ms = %g\n", cfg.fault.retry.timeout_ms);
-    out += StrFormat("fault_backoff_ms = %g\n", cfg.fault.retry.backoff_base_ms);
-    out += StrFormat("fault_backoff_mult = %g\n", cfg.fault.retry.backoff_multiplier);
-  }
-  out += StrFormat("seed = %llu\n", static_cast<unsigned long long>(cfg.seed));
-  out += StrFormat("trials = %d\n", spec.trials);
+  const bool injecting = fault.InjectionEnabled();
+  put_int(injecting, "fault_max_retries", fault.retry.max_retries, none.retry.max_retries);
+  put_num(injecting, "fault_timeout_ms", fault.retry.timeout_ms, none.retry.timeout_ms);
+  put_num(injecting, "fault_backoff_ms", fault.retry.backoff_base_ms,
+          none.retry.backoff_base_ms);
+  put_num(injecting, "fault_backoff_mult", fault.retry.backoff_multiplier,
+          none.retry.backoff_multiplier);
+  put("seed", StrFormat("%llu", static_cast<unsigned long long>(cfg.seed)));
+  put("trials", StrFormat("%d", spec.trials));
   return out;
 }
 

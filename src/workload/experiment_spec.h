@@ -52,12 +52,21 @@ struct ExperimentSpec {
 Result<std::vector<ExperimentSpec>> ParseExperimentSpec(const std::string& text,
                                                         const std::string& source = "");
 
+/// Parses `value` for one recognized key (the list above) into `spec`: the
+/// one parser of every experiment key, shared by spec files and emsim_cli's
+/// experiment flags. A bad value or unknown key is InvalidArgument naming
+/// the key; cross-field checks are left to MergeConfig::Validate.
+Status ApplyExperimentKey(const std::string& key, const std::string& value,
+                          ExperimentSpec* spec);
+
 /// Reads and parses a spec file from disk. Parse errors carry the path as
 /// their source, i.e. "specs/paper.ini:12: unknown key 'runz'".
 Result<std::vector<ExperimentSpec>> LoadExperimentSpec(const std::string& path);
 
 /// Renders a config back into spec syntax (round-trip aid and
-/// self-documentation for tools).
+/// self-documentation for tools). Parsing the output restores every spec
+/// key's field exactly: doubles print with %g when that reads back to the
+/// same value and with %.17g otherwise.
 std::string ToSpec(const ExperimentSpec& spec);
 
 }  // namespace emsim::workload

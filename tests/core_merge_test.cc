@@ -458,7 +458,7 @@ TEST(ExperimentTest, TrialsUseDistinctSeeds) {
 TEST(ExperimentTest, ParallelTrialsMatchSerialExactly) {
   MergeConfig cfg = SmallConfig();
   auto serial = RunTrials(cfg, 6);
-  auto parallel = RunTrialsParallel(cfg, 6, 3);
+  auto parallel = RunTrials(cfg, 6, 3);
   ASSERT_EQ(parallel.trials.size(), serial.trials.size());
   for (size_t t = 0; t < serial.trials.size(); ++t) {
     EXPECT_DOUBLE_EQ(parallel.trials[t].total_ms, serial.trials[t].total_ms) << t;
@@ -470,7 +470,7 @@ TEST(ExperimentTest, ParallelTrialsMatchSerialExactly) {
 
 TEST(ExperimentTest, ParallelHandlesMoreThreadsThanTrials) {
   MergeConfig cfg = SmallConfig();
-  auto result = RunTrialsParallel(cfg, 2, 16);
+  auto result = RunTrials(cfg, 2, 16);
   EXPECT_EQ(result.trials.size(), 2u);
 }
 

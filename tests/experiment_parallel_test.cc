@@ -1,4 +1,4 @@
-// RunTrialsParallel promises aggregates bit-identical to the serial path —
+// RunTrials and RunSweep promise aggregates bit-identical to the serial path —
 // the whole paper-reproduction rests on trials being deterministic per seed
 // regardless of how they are scheduled onto threads. These tests pin that
 // contract across thread counts, including the MergeResult::metrics export
@@ -17,6 +17,7 @@
 #include "core/experiment.h"
 #include "core/result.h"
 #include "core/result_json.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace emsim::core {
@@ -67,7 +68,7 @@ void ExpectTrialsIdentical(const ExperimentResult& serial, const ExperimentResul
   EXPECT_EQ(parallel.cache_occupancy.Mean(), serial.cache_occupancy.Mean());
 }
 
-TEST(RunTrialsParallelTest, BitIdenticalToSerialAcrossThreadCounts) {
+TEST(RunTrialsThreadsTest, BitIdenticalToSerialAcrossThreadCounts) {
   MergeConfig cfg = SmallConfig();
   const int trials = 6;
   ExperimentResult serial = RunTrials(cfg, trials);
@@ -78,30 +79,30 @@ TEST(RunTrialsParallelTest, BitIdenticalToSerialAcrossThreadCounts) {
   }
   for (int threads : {1, 2, hardware}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExperimentResult parallel = RunTrialsParallel(cfg, trials, threads);
+    ExperimentResult parallel = RunTrials(cfg, trials, threads);
     ExpectTrialsIdentical(serial, parallel);
   }
 }
 
-TEST(RunTrialsParallelTest, DefaultThreadCountUsesHardwareConcurrency) {
+TEST(RunTrialsThreadsTest, ZeroThreadsUsesHardwareConcurrency) {
   MergeConfig cfg = SmallConfig();
   ExperimentResult serial = RunTrials(cfg, 4);
-  ExperimentResult parallel = RunTrialsParallel(cfg, 4);  // num_threads = 0.
+  ExperimentResult parallel = RunTrials(cfg, 4, /*num_threads=*/0);
   ExpectTrialsIdentical(serial, parallel);
 }
 
-TEST(RunTrialsParallelTest, JsonExportBytesIdenticalToSerial) {
+TEST(RunTrialsThreadsTest, JsonExportBytesIdenticalToSerial) {
   MergeConfig cfg = SmallConfig();
   ExperimentResult serial = RunTrials(cfg, 5);
-  ExperimentResult parallel = RunTrialsParallel(cfg, 5, 2);
+  ExperimentResult parallel = RunTrials(cfg, 5, 2);
   std::string doc_serial = ExperimentSetToJson({NamedExperiment{"t", cfg, &serial}});
   std::string doc_parallel = ExperimentSetToJson({NamedExperiment{"t", cfg, &parallel}});
   EXPECT_EQ(doc_serial, doc_parallel);
 }
 
-TEST(RunTrialsParallelTest, MetricsCollectedForEveryTrial) {
+TEST(RunTrialsThreadsTest, MetricsCollectedForEveryTrial) {
   MergeConfig cfg = SmallConfig();
-  ExperimentResult parallel = RunTrialsParallel(cfg, 4, 2);
+  ExperimentResult parallel = RunTrials(cfg, 4, 2);
   for (const MergeResult& trial : parallel.trials) {
     EXPECT_FALSE(trial.metrics.empty());
   }
@@ -110,25 +111,22 @@ TEST(RunTrialsParallelTest, MetricsCollectedForEveryTrial) {
 // A failing trial must abort from the *joining* thread with the lowest
 // failing task index — not whichever worker happened to fail first — so the
 // diagnostic is deterministic across thread counts and pool states.
-TEST(RunTrialsParallelDeathTest, FailureSurfacesLowestTrialIndex) {
+TEST(RunTrialsThreadsDeathTest, FailureSurfacesLowestTrialIndex) {
   // Re-exec style: the child must start without the parent's pool threads.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   MergeConfig cfg = SmallConfig();
   cfg.num_runs = 0;  // Invalid: every trial fails validation.
-  EXPECT_DEATH(RunTrialsParallel(cfg, 4, 2), "trial 0 failed");
+  EXPECT_DEATH(RunTrials(cfg, 4, 2), "trial 0 failed");
 }
 
-TEST(RunSweepParallelTest, BitIdenticalToPerConfigSerialRuns) {
-  std::vector<MergeConfig> configs;
+TEST(RunSweepTest, BitIdenticalToPerConfigSerialRuns) {
+  const int trials = 3;
+  std::vector<SweepUnit> units;
+  std::vector<ExperimentResult> serial;
   for (int depth : {1, 2, 4}) {
     MergeConfig cfg = SmallConfig();
     cfg.prefetch_depth = depth;
-    configs.push_back(cfg);
-  }
-  const int trials = 3;
-  std::vector<ExperimentResult> serial;
-  serial.reserve(configs.size());
-  for (const MergeConfig& cfg : configs) {
+    units.push_back(SweepUnit{"", cfg, trials});
     serial.push_back(RunTrials(cfg, trials));
   }
   int hardware = static_cast<int>(std::thread::hardware_concurrency());
@@ -137,7 +135,9 @@ TEST(RunSweepParallelTest, BitIdenticalToPerConfigSerialRuns) {
   }
   for (int threads : {1, 2, hardware}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<ExperimentResult> sweep = RunSweepParallel(configs, trials, threads);
+    Result<std::vector<ExperimentResult>> swept = RunSweep(units, threads);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    const std::vector<ExperimentResult>& sweep = *swept;
     ASSERT_EQ(sweep.size(), serial.size());
     for (size_t c = 0; c < serial.size(); ++c) {
       SCOPED_TRACE("config=" + std::to_string(c));

@@ -1,9 +1,12 @@
 #include "core/config.h"
+#include "util/status.h"
 #include "workload/experiment_spec.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -185,6 +188,89 @@ TEST(ExperimentSpecTest, ToSpecRoundTripsSeed) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ((*reparsed)[0].config.seed, 4242u);
   EXPECT_EQ((*reparsed)[0].trials, 7);
+}
+
+TEST(ExperimentSpecTest, ToSpecRoundTripsEveryDoubleExactly) {
+  // Every double key at 17 significant digits, more than %g's six; zipf
+  // depletion and both failing disks put each key in use.
+  const std::pair<const char*, const char*> kDoubles[] = {
+      {"zipf_theta", "0.73456789012345678"},
+      {"cpu_ms", "0.0123456789012345678"},
+      {"fault_media_error_rate", "0.0123456789012345678"},
+      {"fault_spike_rate", "0.0234567890123456789"},
+      {"fault_spike_ms", "12.345678901234567"},
+      {"fault_slow_factor", "3.1415926535897932"},
+      {"fault_slow_start_ms", "1.2345678901234567"},
+      {"fault_slow_end_ms", "987.65432109876543"},
+      {"fault_stop_start_ms", "2.3456789012345678"},
+      {"fault_stop_end_ms", "876.54321098765432"},
+      {"fault_timeout_ms", "1234.5678901234567"},
+      {"fault_backoff_ms", "19.876543210987654"},
+      {"fault_backoff_mult", "2.7182818284590452"},
+  };
+  std::string text =
+      "[precise]\nruns = 4\ndisks = 2\nblocks = 30\ndepletion = zipf\n"
+      "fault_slow_disk = 0\nfault_stop_disk = 1\n";
+  for (const auto& [key, value] : kDoubles) {
+    text += std::string(key) + " = " + value + "\n";
+  }
+  auto specs = ParseExperimentSpec(text);
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  const ExperimentSpec& original = (*specs)[0];
+  std::string rendered = ToSpec(original);
+  auto reparsed = ParseExperimentSpec(rendered);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  ASSERT_EQ(reparsed->size(), 1u);
+  EXPECT_TRUE((*reparsed)[0].config == original.config) << rendered;
+  EXPECT_EQ((*reparsed)[0].trials, original.trials);
+  EXPECT_EQ((*reparsed)[0].name, original.name);
+}
+
+TEST(ExperimentSpecTest, ToSpecRoundTripsUnusedKeysAndFullRangeSeeds) {
+  // Keys that do not shape this experiment (zipf_theta under uniform
+  // depletion, write keys without write traffic, retry keys without fault
+  // injection) are still written when set, and seeds cover all of uint64_t:
+  // -1 renders as 18446744073709551615 and must read back.
+  auto specs = ParseExperimentSpec(
+      "[unused]\nruns = 4\nzipf_theta = 0.5\nwrite_batch = 3\nfault_max_retries = 9\n"
+      "fault_spike_ms = 7\nfault_seed = -1\nseed = -2\n");
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  const ExperimentSpec& original = (*specs)[0];
+  EXPECT_EQ(original.config.seed, ~uint64_t{1});
+  std::string rendered = ToSpec(original);
+  auto reparsed = ParseExperimentSpec(rendered);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << rendered;
+  EXPECT_TRUE((*reparsed)[0].config == original.config) << rendered;
+}
+
+TEST(ExperimentSpecTest, ToSpecKeepsShortFormWhenItIsExact) {
+  // Values that %g already renders exactly keep that form, so SpecDigest
+  // (which hashes ToSpec) is unchanged for every spec written by hand.
+  auto specs = ParseExperimentSpec("[short]\nruns = 4\ncpu_ms = 0.5\nfault_spike_rate = 0.05\n");
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  std::string rendered = ToSpec((*specs)[0]);
+  EXPECT_NE(rendered.find("cpu_ms = 0.5\n"), std::string::npos) << rendered;
+  EXPECT_NE(rendered.find("fault_spike_rate = 0.05\n"), std::string::npos) << rendered;
+}
+
+TEST(ExperimentSpecTest, ApplyExperimentKeyNamesTheKey) {
+  ExperimentSpec spec;
+  EXPECT_TRUE(ApplyExperimentKey("n", "3", &spec).ok());
+  EXPECT_EQ(spec.config.prefetch_depth, 3);
+  for (const auto& [key, value] : {std::pair<const char*, const char*>{"n", "4294967297"},
+                                   {"runs", "x"},
+                                   {"cpu_ms", "nan"},
+                                   {"trials", "0"},
+                                   {"strategy", "fastest"}}) {
+    SCOPED_TRACE(key);
+    Status status = ApplyExperimentKey(key, value, &spec);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(key), std::string::npos) << status.message();
+  }
+  // Rejected values leave the spec alone.
+  EXPECT_EQ(spec.config.prefetch_depth, 3);
+  EXPECT_EQ(spec.trials, ExperimentSpec{}.trials);
+  EXPECT_FALSE(ApplyExperimentKey("runz", "3", &spec).ok());
 }
 
 TEST(ExperimentSpecTest, PrintSpecRoundTripsThroughLoad) {

@@ -11,6 +11,7 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "fault/fault_plan.h"
+#include "util/status.h"
 
 namespace emsim::core {
 namespace {
@@ -30,7 +31,7 @@ TEST(FaultParallelTest, ParallelTrialsBitIdenticalToSerial) {
   MergeConfig cfg = FaultyConfig();
   ExperimentResult serial = RunTrials(cfg, 6);
   for (int threads : {1, 2, 4}) {
-    ExperimentResult parallel = RunTrialsParallel(cfg, 6, threads);
+    ExperimentResult parallel = RunTrials(cfg, 6, threads);
     ASSERT_EQ(parallel.trials.size(), serial.trials.size()) << threads;
     for (size_t t = 0; t < serial.trials.size(); ++t) {
       EXPECT_DOUBLE_EQ(parallel.trials[t].total_ms, serial.trials[t].total_ms)
@@ -49,7 +50,10 @@ TEST(FaultParallelTest, SweepWithFaultPointsMatchesSerialPoints) {
   MergeConfig clean = FaultyConfig();
   clean.fault = fault::FaultConfig{};  // Fault-free point in the same sweep.
   MergeConfig faulty = FaultyConfig();
-  std::vector<ExperimentResult> sweep = RunSweepParallel({clean, faulty}, 3, 4);
+  Result<std::vector<ExperimentResult>> swept =
+      RunSweep({SweepUnit{"clean", clean, 3}, SweepUnit{"faulty", faulty, 3}}, 4);
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  const std::vector<ExperimentResult>& sweep = *swept;
   ASSERT_EQ(sweep.size(), 2u);
 
   ExperimentResult serial_clean = RunTrials(clean, 3);
@@ -64,11 +68,11 @@ TEST(FaultParallelTest, SweepWithFaultPointsMatchesSerialPoints) {
 
 TEST(FaultParallelTest, DeadlinePlumbingIsHarmlessWhenGenerous) {
   MergeConfig cfg = FaultyConfig();
-  ExperimentResult unbounded = RunTrialsParallel(cfg, 4, 4);
+  ExperimentResult unbounded = RunTrials(cfg, 4, 4);
   TrialDeadline deadline;
   deadline.max_sim_events = 100'000'000;
   deadline.max_wall_ms = 600'000.0;
-  ExperimentResult bounded = RunTrialsParallel(cfg, 4, 4, deadline);
+  ExperimentResult bounded = RunTrials(cfg, 4, 4, deadline);
   for (size_t t = 0; t < 4; ++t) {
     EXPECT_DOUBLE_EQ(bounded.trials[t].total_ms, unbounded.trials[t].total_ms) << t;
   }

@@ -281,7 +281,7 @@ TEST(ResultJsonTest, FixedSeedExportIsByteStable) {
   EXPECT_EQ(doc_a, doc_b);
 
   // Parallel trial fan-out must not change the bytes either.
-  ExperimentResult parallel = RunTrialsParallel(cfg, 3);
+  ExperimentResult parallel = RunTrials(cfg, 3, /*num_threads=*/0);
   std::string doc_c =
       ExperimentSetToJson({NamedExperiment{"stability", cfg, &parallel}});
   EXPECT_EQ(doc_a, doc_c);

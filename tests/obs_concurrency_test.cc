@@ -1,6 +1,6 @@
 // The metrics registry's threading contract: one *unsynchronized*
-// MetricsRegistry per simulation, never shared across threads —
-// RunTrialsParallel runs one simulation (and thus one registry) per trial on
+// MetricsRegistry per simulation, never shared across threads — a threaded
+// RunTrials runs one simulation (and thus one registry) per trial on
 // worker threads, so the supported concurrent pattern is many independent
 // registries ticking at once. The suite carries the `thread` label so the
 // EMSIM_SANITIZE=thread CI job verifies there is no hidden shared state

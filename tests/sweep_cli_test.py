@@ -9,10 +9,12 @@ from docs/SWEEPS.md:
   * a chaos-killed worker shard is resubmitted and the run still completes
     with identical bytes;
   * hand-driven --sweep-worker / --sweep-merge reproduce the same bytes;
-  * a worker records task failures as data and the merge surfaces the
-    lowest-index failure with a nonzero exit;
-  * invalid flag values (--trials 0, a nan number) exit 2 with a message
-    naming the flag, never a CHECK abort.
+  * a sweep driven by plain experiment flags (no --spec) forwards them to
+    its workers exactly, so its output matches the single-process run;
+  * a worker records task failures as data; the merge and the
+    single-process run both exit 1 with the same lowest-index failure;
+  * invalid flag values (--trials 0, a nan number, an int out of range)
+    exit 2 with a message naming the flag, never a CHECK abort.
 
 Usage: sweep_cli_test.py <path-to-emsim_cli>
 """
@@ -58,6 +60,13 @@ def run_cli(args, cwd, check=True):
             f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
         )
     return proc
+
+
+def failure_line(stderr):
+    lines = [l for l in stderr.splitlines() if "sweep task 0 failed:" in l]
+    if len(lines) != 1:
+        raise AssertionError(f"expected one failure line in:\n{stderr}")
+    return lines[0]
 
 
 class SweepCliTest(unittest.TestCase):
@@ -106,6 +115,30 @@ class SweepCliTest(unittest.TestCase):
         self.assertIn("resubmitting", proc.stderr)
         self.assertEqual(proc.stdout, want_json)
 
+    def test_flag_driven_sweep_matches_single_process(self):
+        flags = ["--runs", "4", "--disks", "2", "--blocks", "30", "--n", "2",
+                 "--trials", "3", "--cpu_ms", "0.0123456789",
+                 "--fault_spike_rate", "0.05"]
+        want = run_cli(flags + ["--json", "-"], cwd=self.dir)
+        proc = run_cli(
+            flags + ["--sweep", "3",
+                     "--shard-dir", os.path.join(self.dir, "shards_flags"),
+                     "--json", "-"],
+            cwd=self.dir,
+        )
+        self.assertEqual(proc.stdout, want.stdout)
+
+    def test_print_spec_shows_cli_defaults(self):
+        proc = run_cli(["--runs", "4", "--disks", "2", "--blocks", "30",
+                        "--trials", "1", "--print_spec"], cwd=self.dir)
+        # Every key left at its default is omitted, so this pins the flag
+        # defaults to MergeConfig's apart from n and strategy.
+        self.assertTrue(proc.stdout.startswith(
+            "[cli]\nruns = 4\ndisks = 2\nblocks = 30\nn = 10\n"
+            "strategy = all-disks-one-run\nsync = unsync\n"
+            "admission = conservative\nvictim = random\ndepletion = uniform\n"
+            "seed = 1\ntrials = 1\n\n"), proc.stdout)
+
     def test_manual_worker_and_merge_match(self):
         want_json, want_table = self.single_process_reference()
         shard_files = []
@@ -149,6 +182,23 @@ class SweepCliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("sweep task 0 failed:", proc.stderr)
         self.assertIn("DeadlineExceeded", proc.stderr)
+        merge_line = failure_line(proc.stderr)
+
+        # The single-process run reports the same failure the same way, from
+        # the spec or from the equivalent flags.
+        for args in (["--spec", bad_spec],
+                     ["--runs", "4", "--disks", "2", "--blocks", "30", "--n", "1",
+                      "--strategy", "demand-run-only", "--trials", "2"]):
+            with self.subTest(args=args):
+                proc = run_cli(args + ["--max_sim_events", "1"], cwd=self.dir,
+                               check=False)
+                self.assertEqual(proc.returncode, 1, proc.stderr)
+                self.assertNotIn("EMSIM_CHECK", proc.stderr)
+                line = failure_line(proc.stderr)
+                if args[0] == "--spec":
+                    self.assertEqual(line, merge_line)
+                else:
+                    self.assertIn("sweep task 0 failed: DeadlineExceeded", line)
 
     def test_merge_rejects_mismatched_spec(self):
         out = os.path.join(self.dir, "mismatch.json")
@@ -171,7 +221,8 @@ class SweepCliTest(unittest.TestCase):
                 "--trials", "1"]
         for extra in (["--trials", "0"],
                       ["--trials", "-3"],
-                      ["--fault_media_error_rate", "0.1", "--fault_timeout_ms", "nan"]):
+                      ["--fault_media_error_rate", "0.1", "--fault_timeout_ms", "nan"],
+                      ["--n", "4294967297"]):
             with self.subTest(extra=extra):
                 proc = run_cli(base + extra, cwd=self.dir, check=False)
                 self.assertEqual(proc.returncode, 2, proc.stderr)

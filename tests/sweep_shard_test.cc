@@ -146,8 +146,9 @@ TEST(ShardCodecTest, RejectsGarbageAndTamperedHeaders) {
 TEST(SweepMergeTest, MergedJsonByteIdenticalAcrossShardCounts) {
   auto units = MakeUnits();
   core::SweepGrid grid(units);
-  std::vector<core::ExperimentResult> single = core::RunSweep(units, 2);
-  std::string want = RenderJson(units, single);
+  auto single = core::RunSweep(units, 2);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  std::string want = RenderJson(units, *single);
   for (int num_shards : {1, 2, 7}) {
     std::vector<std::string> texts;
     for (int s = 0; s < num_shards; ++s) {
@@ -160,21 +161,19 @@ TEST(SweepMergeTest, MergedJsonByteIdenticalAcrossShardCounts) {
   }
 }
 
-// Same contract against RunSweepParallel's uniform-grid spelling.
-TEST(SweepMergeTest, MatchesRunSweepParallel) {
+// Same contract on a uniform grid (equal trial counts), swept on 3 threads.
+TEST(SweepMergeTest, MatchesThreadedUniformSweep) {
   core::MergeConfig cfg = SmallConfig();
   constexpr int kTrials = 5;
-  std::vector<core::MergeConfig> configs;
   std::vector<core::SweepUnit> units;
   for (int n : {1, 2, 4}) {
     core::MergeConfig c = cfg;
     c.prefetch_depth = n;
-    configs.push_back(c);
     units.push_back(core::SweepUnit{StrFormat("n=%d", n), c, kTrials});
   }
-  std::vector<core::ExperimentResult> parallel =
-      core::RunSweepParallel(configs, kTrials, 3);
-  std::string want = RenderJson(units, parallel);
+  auto parallel = core::RunSweep(units, 3);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  std::string want = RenderJson(units, *parallel);
 
   core::SweepGrid grid(units);
   std::vector<std::string> texts;
@@ -200,11 +199,14 @@ TEST(SweepMergeTest, FailureSurfacesLowestGlobalTaskIndex) {
   auto merged = MergeShardArtifacts(units, texts);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kDeadlineExceeded);
-  // Exactly the single-process runners' abort message shape, with the
-  // lowest failing global index (unit 1 starts at task 3).
+  // Exactly the error a single-process RunSweep returns, with the lowest
+  // failing global index (unit 1 starts at task 3).
   EXPECT_NE(merged.status().message().find("sweep task 3 failed:"),
             std::string::npos)
       << merged.status().ToString();
+  auto single = core::RunSweep(units, 2);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status(), merged.status());
 }
 
 TEST(SweepMergeTest, RejectsDigestMismatch) {
@@ -235,7 +237,8 @@ TEST(SweepMergeTest, RejectsCoverageGapNamingTheMissingTask) {
 TEST(SweepMergeTest, ToleratesDuplicateShardFromRacedResubmission) {
   auto units = MakeUnits();
   core::SweepGrid grid(units);
-  std::vector<core::ExperimentResult> single = core::RunSweep(units, 2);
+  auto single = core::RunSweep(units, 2);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
   std::vector<std::string> texts;
   for (int s = 0; s < 2; ++s) {
     texts.push_back(EncodeShardArtifact(RunShard(grid, s, 2, 1, {})));
@@ -243,7 +246,7 @@ TEST(SweepMergeTest, ToleratesDuplicateShardFromRacedResubmission) {
   texts.push_back(texts[1]);  // A straggler's duplicate artifact.
   auto merged = MergeShardArtifacts(units, texts);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(RenderJson(units, *merged), RenderJson(units, single));
+  EXPECT_EQ(RenderJson(units, *merged), RenderJson(units, *single));
 }
 
 }  // namespace

@@ -96,23 +96,28 @@ TEST(TrialDeadlineDeathTest, SerialRunnerAbortsWithTrialIndexAndConfig) {
   MergeConfig cfg = SmallConfig();
   TrialDeadline deadline;
   deadline.max_sim_events = 50;
-  EXPECT_DEATH(RunTrials(cfg, 2, deadline), "trial 0 failed.*DeadlineExceeded");
+  EXPECT_DEATH(RunTrials(cfg, 2, /*num_threads=*/1, deadline),
+               "trial 0 failed.*DeadlineExceeded");
 }
 
 TEST(TrialDeadlineDeathTest, ParallelRunnerAbortsWithTrialIndexAndConfig) {
   MergeConfig cfg = SmallConfig();
   TrialDeadline deadline;
   deadline.max_sim_events = 50;
-  EXPECT_DEATH(RunTrialsParallel(cfg, 4, 2, deadline),
+  EXPECT_DEATH(RunTrials(cfg, 4, /*num_threads=*/2, deadline),
                "trial 0 failed.*DeadlineExceeded.*MergeConfig\\{");
 }
 
-TEST(TrialDeadlineDeathTest, SweepRunnerAbortsWithTaskIndex) {
-  std::vector<MergeConfig> configs = {SmallConfig(), SmallConfig()};
+TEST(TrialDeadlineTest, SweepRunnerReturnsTaskIndex) {
+  std::vector<SweepUnit> units = {SweepUnit{"a", SmallConfig(), 2},
+                                  SweepUnit{"b", SmallConfig(), 2}};
   TrialDeadline deadline;
   deadline.max_sim_events = 50;
-  EXPECT_DEATH(RunSweepParallel(configs, 2, 2, deadline),
-               "sweep task 0 failed.*DeadlineExceeded");
+  Result<std::vector<ExperimentResult>> swept = RunSweep(units, 2, deadline);
+  ASSERT_FALSE(swept.ok());
+  EXPECT_EQ(swept.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(swept.status().message().rfind("sweep task 0 failed: DeadlineExceeded", 0), 0u)
+      << swept.status().ToString();
 }
 
 TEST(TrialDeadlineTest, ConfigBoundsTakePrecedenceWhenTighter) {

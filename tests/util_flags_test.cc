@@ -2,6 +2,8 @@
 #include "util/status.h"
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -67,6 +69,42 @@ TEST(FlagSetTest, BadNumberIsError) {
   EXPECT_FALSE(flags.Parse(3, argv1).ok());
   const char* argv2[] = {"t", "--d", "1.2.3"};
   EXPECT_FALSE(flags.Parse(3, argv2).ok());
+}
+
+TEST(FlagSetTest, IntOutsideIntRangeIsErrorNamingTheFlag) {
+  for (const char* text : {"4294967297", "-2147483649", "9223372036854775807"}) {
+    SCOPED_TRACE(text);
+    FlagSet flags("t");
+    int threads = 7;
+    flags.AddInt("threads", &threads, "int");
+    const char* argv[] = {"t", "--threads", text};
+    Status s = flags.Parse(3, argv);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("--threads"), std::string::npos) << s.message();
+    EXPECT_EQ(threads, 7);
+  }
+  FlagSet flags("t");
+  int edge = 0;
+  flags.AddInt("edge", &edge, "int");
+  const char* argv[] = {"t", "--edge", "-2147483648"};
+  ASSERT_TRUE(flags.Parse(3, argv).ok());
+  EXPECT_EQ(edge, std::numeric_limits<int>::min());
+}
+
+TEST(FlagSetTest, GivenReportsTheTextAsTyped) {
+  FlagSet flags("t");
+  double d = 0;
+  bool b = false;
+  int unused = 0;
+  flags.AddDouble("d", &d, "double");
+  flags.AddBool("b", &b, "bool");
+  flags.AddInt("unused", &unused, "int");
+  const char* argv[] = {"t", "--d", "1.0", "--d=0.0123456789", "--b"};
+  ASSERT_TRUE(flags.Parse(5, argv).ok());
+  EXPECT_EQ(flags.Given("d"), "0.0123456789");  // The last one wins.
+  EXPECT_EQ(flags.Given("b"), "");
+  EXPECT_EQ(flags.Given("unused"), std::nullopt);
 }
 
 TEST(FlagSetTest, NonFiniteDoubleIsErrorNamingTheFlag) {

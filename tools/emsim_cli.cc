@@ -23,6 +23,7 @@
 //   $ emsim_cli --spec e.ini --sweep-merge s0.json s1.json s2.json s3.json
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -30,7 +31,9 @@
 #include <cstdio>
 #include <dirent.h>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -63,6 +66,57 @@ constexpr int kExitDrained = 3;  ///< Graceful drain — run is resumable.
 std::atomic<bool> g_drain{false};
 
 void OnDrainSignal(int) { g_drain.store(true); }
+
+/// One experiment flag: a spec key, parsed by workload::ApplyExperimentKey
+/// exactly as in a spec file, registered as a string flag with the CLI's
+/// default text. --spec overrides them all.
+struct ExperimentFlag {
+  const char* key;
+  const char* default_text;
+  const char* help;
+};
+
+// Defaults are MergeConfig's, except a prefetching n and strategy. Fault
+// injection (docs/ROBUSTNESS.md) is off by default, which keeps every
+// artifact byte-identical to the fault-free schema.
+constexpr ExperimentFlag kExperimentFlags[] = {
+    {"runs", "25", "number of sorted runs (k)"},
+    {"disks", "5", "number of input disks (D)"},
+    {"blocks", "1000", "blocks per run"},
+    {"n", "10", "prefetch depth (N)"},
+    {"cache", "-1", "cache size in blocks (-1 = auto)"},
+    {"cpu_ms", "0", "CPU time to merge one block (ms)"},
+    {"zipf_theta", "0", "depletion skew for --depletion zipf"},
+    {"trials", "5", "trials to average"},
+    {"seed", "1", "base RNG seed"},
+    {"strategy", "all-disks-one-run", "demand-run-only | all-disks-one-run"},
+    {"sync", "unsync", "sync | unsync"},
+    {"admission", "conservative", "conservative | greedy"},
+    {"victim", "random", "random | round-robin | fewest-buffered | nearest-head"},
+    {"depletion", "uniform", "uniform | zipf"},
+    {"write_traffic", "none", "none | separate | shared"},
+    {"fault_media_error_rate", "0", "P(injected media error) per read request"},
+    {"fault_spike_rate", "0", "P(latency spike) per request"},
+    {"fault_spike_ms", "50", "extra latency per spike (ms)"},
+    {"fault_slow_disk", "-1", "fail-slow disk id (-1 = none)"},
+    {"fault_slow_factor", "4", "fail-slow service-time multiplier"},
+    {"fault_slow_start_ms", "0", "fail-slow window start"},
+    {"fault_slow_end_ms", "-1", "fail-slow window end (-1 = forever)"},
+    {"fault_stop_disk", "-1", "fail-stop disk id (-1 = none)"},
+    {"fault_stop_start_ms", "0", "fail-stop outage start"},
+    {"fault_stop_end_ms", "-1", "fail-stop outage end (-1 = forever)"},
+    {"fault_seed", "0", "fault RNG seed (0 = derive from --seed)"},
+    {"fault_max_retries", "4", "retries before a span fails"},
+    {"fault_timeout_ms", "2000", "per-attempt I/O timeout (0 = none)"},
+    {"fault_backoff_ms", "20", "base retry backoff (ms)"},
+    {"fault_backoff_mult", "2", "backoff multiplier"},
+};
+constexpr size_t kNumExperimentFlags = std::size(kExperimentFlags);
+
+/// Flags besides the experiment flags that a sweep driver hands on to its
+/// workers.
+constexpr const char* kWorkerFlags[] = {"spec", "metrics", "max_sim_events", "max_wall_ms",
+                                        "threads"};
 
 void AddResultRow(stats::Table& table, const std::string& name,
                   const core::MergeConfig& cfg, const core::ExperimentResult& result) {
@@ -134,44 +188,13 @@ int EmitResults(const std::vector<core::SweepUnit>& units,
 
 int main(int argc, char** argv) {
   FlagSet flags("emsim_cli");
-  int runs = 25;
-  int disks = 5;
-  int64_t blocks = 1000;
-  int n = 10;
-  int64_t cache = core::MergeConfig::kAutoCache;
-  double cpu_ms = 0.0;
-  double zipf_theta = 0.0;
-  int trials = 5;
-  int64_t seed = 1;
-  std::string strategy = "all-disks-one-run";
-  std::string sync = "unsync";
-  std::string admission = "conservative";
-  std::string victim = "random";
-  std::string depletion = "uniform";
-  std::string write_traffic = "none";
+  std::array<std::string, kNumExperimentFlags> experiment_text;
   std::string spec_path;
   std::string format = "table";
   std::string json_path;
   bool collect_metrics = false;
   bool help = false;
   bool print_spec = false;
-  // Fault injection (docs/ROBUSTNESS.md). Defaults leave injection off, which
-  // keeps every artifact byte-identical to the fault-free schema.
-  double fault_media_error_rate = 0.0;
-  double fault_spike_rate = 0.0;
-  double fault_spike_ms = 50.0;
-  int fault_slow_disk = -1;
-  double fault_slow_factor = 4.0;
-  double fault_slow_start_ms = 0.0;
-  double fault_slow_end_ms = -1.0;
-  int fault_stop_disk = -1;
-  double fault_stop_start_ms = 0.0;
-  double fault_stop_end_ms = -1.0;
-  int64_t fault_seed = 0;
-  int fault_max_retries = 4;
-  double fault_timeout_ms = 2000.0;
-  double fault_backoff_ms = 20.0;
-  double fault_backoff_mult = 2.0;
   int64_t max_sim_events = 0;
   double max_wall_ms = 0.0;
   // Sharded sweep fabric (docs/SWEEPS.md).
@@ -191,22 +214,10 @@ int main(int argc, char** argv) {
   double sweep_drain_grace_ms = 2000.0;
   int sweep_chaos_kill_shard = -1;
 
-  flags.AddInt("runs", &runs, "number of sorted runs (k)");
-  flags.AddInt("disks", &disks, "number of input disks (D)");
-  flags.AddInt64("blocks", &blocks, "blocks per run");
-  flags.AddInt("n", &n, "prefetch depth (N)");
-  flags.AddInt64("cache", &cache, "cache size in blocks (-1 = auto)");
-  flags.AddDouble("cpu_ms", &cpu_ms, "CPU time to merge one block (ms)");
-  flags.AddDouble("zipf_theta", &zipf_theta, "depletion skew for --depletion zipf");
-  flags.AddInt("trials", &trials, "trials to average");
-  flags.AddInt64("seed", &seed, "base RNG seed");
-  flags.AddString("strategy", &strategy, "demand-run-only | all-disks-one-run");
-  flags.AddString("sync", &sync, "sync | unsync");
-  flags.AddString("admission", &admission, "conservative | greedy");
-  flags.AddString("victim", &victim,
-                  "random | round-robin | fewest-buffered | nearest-head");
-  flags.AddString("depletion", &depletion, "uniform | zipf");
-  flags.AddString("write_traffic", &write_traffic, "none | separate | shared");
+  for (size_t i = 0; i < kNumExperimentFlags; ++i) {
+    experiment_text[i] = kExperimentFlags[i].default_text;
+    flags.AddString(kExperimentFlags[i].key, &experiment_text[i], kExperimentFlags[i].help);
+  }
   flags.AddString("spec", &spec_path, "experiment spec file (overrides other flags)");
   flags.AddString("format", &format, "table | csv");
   flags.AddString("json", &json_path,
@@ -214,28 +225,6 @@ int main(int argc, char** argv) {
   flags.AddBool("metrics", &collect_metrics,
                 "collect the full metrics registry into the JSON export");
   flags.AddBool("print_spec", &print_spec, "echo each experiment as spec syntax");
-  flags.AddDouble("fault_media_error_rate", &fault_media_error_rate,
-                  "P(injected media error) per read request");
-  flags.AddDouble("fault_spike_rate", &fault_spike_rate,
-                  "P(latency spike) per request");
-  flags.AddDouble("fault_spike_ms", &fault_spike_ms, "extra latency per spike (ms)");
-  flags.AddInt("fault_slow_disk", &fault_slow_disk, "fail-slow disk id (-1 = none)");
-  flags.AddDouble("fault_slow_factor", &fault_slow_factor,
-                  "fail-slow service-time multiplier");
-  flags.AddDouble("fault_slow_start_ms", &fault_slow_start_ms, "fail-slow window start");
-  flags.AddDouble("fault_slow_end_ms", &fault_slow_end_ms,
-                  "fail-slow window end (-1 = forever)");
-  flags.AddInt("fault_stop_disk", &fault_stop_disk, "fail-stop disk id (-1 = none)");
-  flags.AddDouble("fault_stop_start_ms", &fault_stop_start_ms, "fail-stop outage start");
-  flags.AddDouble("fault_stop_end_ms", &fault_stop_end_ms,
-                  "fail-stop outage end (-1 = forever)");
-  flags.AddInt64("fault_seed", &fault_seed,
-                 "fault RNG seed (0 = derive from --seed)");
-  flags.AddInt("fault_max_retries", &fault_max_retries, "retries before a span fails");
-  flags.AddDouble("fault_timeout_ms", &fault_timeout_ms,
-                  "per-attempt I/O timeout (0 = none)");
-  flags.AddDouble("fault_backoff_ms", &fault_backoff_ms, "base retry backoff (ms)");
-  flags.AddDouble("fault_backoff_mult", &fault_backoff_mult, "backoff multiplier");
   flags.AddInt64("max_sim_events", &max_sim_events,
                  "per-trial simulated-event deadline (0 = unlimited)");
   flags.AddDouble("max_wall_ms", &max_wall_ms,
@@ -295,6 +284,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  workload::ExperimentSpec cli_spec;
+  cli_spec.name = "cli";
+  for (size_t i = 0; i < kNumExperimentFlags; ++i) {
+    Status applied =
+        workload::ApplyExperimentKey(kExperimentFlags[i].key, experiment_text[i], &cli_spec);
+    if (!applied.ok()) {
+      std::fprintf(stderr, "flag --%s: %s\n", kExperimentFlags[i].key,
+                   applied.message().c_str());
+      return 2;
+    }
+  }
   std::vector<workload::ExperimentSpec> specs;
   if (!spec_path.empty()) {
     auto loaded = workload::LoadExperimentSpec(spec_path);
@@ -304,63 +304,12 @@ int main(int argc, char** argv) {
     }
     specs = *std::move(loaded);
   } else {
-    if (trials < 1) {
-      std::fprintf(stderr, "invalid configuration: --trials must be >= 1, got %d\n", trials);
-      return 2;
-    }
-    workload::ExperimentSpec spec;
-    spec.name = "cli";
-    spec.trials = trials;
-    core::MergeConfig& cfg = spec.config;
-    cfg.num_runs = runs;
-    cfg.num_disks = disks;
-    cfg.blocks_per_run = blocks;
-    cfg.prefetch_depth = n;
-    cfg.cache_blocks = cache;
-    cfg.cpu_ms_per_block = cpu_ms;
-    cfg.zipf_theta = zipf_theta;
-    cfg.seed = static_cast<uint64_t>(seed);
-    auto parsed_strategy = core::ParseStrategy(strategy);
-    auto parsed_sync = core::ParseSyncMode(sync);
-    auto parsed_admission = core::ParseAdmissionPolicy(admission);
-    auto parsed_victim = core::ParseVictimPolicy(victim);
-    auto parsed_depletion = core::ParseDepletionKind(depletion);
-    auto parsed_write = core::ParseWriteTraffic(write_traffic);
-    for (const Status& s :
-         {parsed_strategy.status(), parsed_sync.status(), parsed_admission.status(),
-          parsed_victim.status(), parsed_depletion.status(), parsed_write.status()}) {
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        return 2;
-      }
-    }
-    cfg.strategy = *parsed_strategy;
-    cfg.sync = *parsed_sync;
-    cfg.admission = *parsed_admission;
-    cfg.victim = *parsed_victim;
-    cfg.depletion = *parsed_depletion;
-    cfg.write_traffic = *parsed_write;
-    cfg.fault.media_error_rate = fault_media_error_rate;
-    cfg.fault.latency_spike_rate = fault_spike_rate;
-    cfg.fault.latency_spike_ms = fault_spike_ms;
-    cfg.fault.fail_slow_disk = fault_slow_disk;
-    cfg.fault.fail_slow_factor = fault_slow_factor;
-    cfg.fault.fail_slow_start_ms = fault_slow_start_ms;
-    cfg.fault.fail_slow_end_ms = fault_slow_end_ms;
-    cfg.fault.fail_stop_disk = fault_stop_disk;
-    cfg.fault.fail_stop_start_ms = fault_stop_start_ms;
-    cfg.fault.fail_stop_end_ms = fault_stop_end_ms;
-    cfg.fault.seed = static_cast<uint64_t>(fault_seed);
-    cfg.fault.retry.max_retries = fault_max_retries;
-    cfg.fault.retry.timeout_ms = fault_timeout_ms;
-    cfg.fault.retry.backoff_base_ms = fault_backoff_ms;
-    cfg.fault.retry.backoff_multiplier = fault_backoff_mult;
-    Status valid = cfg.Validate();
+    Status valid = cli_spec.config.Validate();
     if (!valid.ok()) {
       std::fprintf(stderr, "invalid configuration: %s\n", valid.ToString().c_str());
       return 2;
     }
-    specs.push_back(std::move(spec));
+    specs.push_back(std::move(cli_spec));
   }
 
   if (print_spec) {
@@ -432,8 +381,8 @@ int main(int argc, char** argv) {
     // Driver mode: re-exec this binary once per shard via the dispatcher,
     // journal every transition into the run directory, then merge the
     // artifacts in-process. The worker command re-creates the experiment set
-    // from the same inputs (spec file, or the full flag vector), so every
-    // worker builds the identical task grid. Resume mode replays the
+    // from the same inputs (kExperimentFlags and kWorkerFlags as given), so
+    // every worker builds the identical task grid. Resume mode replays the
     // journal, re-verifies surviving artifacts, and runs only what is
     // missing — the merged output is byte-identical either way.
     const bool resuming = !sweep_resume.empty();
@@ -546,67 +495,20 @@ int main(int argc, char** argv) {
       std::signal(SIGTERM, OnDrainSignal);
       std::signal(SIGINT, OnDrainSignal);
 
-      std::vector<std::string> base;
-      base.push_back(argv[0]);
-      if (!spec_path.empty()) {
-        base.insert(base.end(), {"--spec", spec_path});
-      } else {
-        base.insert(base.end(), {"--runs", StrFormat("%d", runs)});
-        base.insert(base.end(), {"--disks", StrFormat("%d", disks)});
-        base.insert(base.end(),
-                    {"--blocks", StrFormat("%lld", static_cast<long long>(blocks))});
-        base.insert(base.end(), {"--n", StrFormat("%d", n)});
-        base.insert(base.end(),
-                    {"--cache", StrFormat("%lld", static_cast<long long>(cache))});
-        base.insert(base.end(), {"--cpu_ms", StrFormat("%.17g", cpu_ms)});
-        base.insert(base.end(), {"--zipf_theta", StrFormat("%.17g", zipf_theta)});
-        base.insert(base.end(), {"--trials", StrFormat("%d", trials)});
-        base.insert(base.end(),
-                    {"--seed", StrFormat("%lld", static_cast<long long>(seed))});
-        base.insert(base.end(), {"--strategy", strategy});
-        base.insert(base.end(), {"--sync", sync});
-        base.insert(base.end(), {"--admission", admission});
-        base.insert(base.end(), {"--victim", victim});
-        base.insert(base.end(), {"--depletion", depletion});
-        base.insert(base.end(), {"--write_traffic", write_traffic});
-        base.insert(base.end(), {"--fault_media_error_rate",
-                                 StrFormat("%.17g", fault_media_error_rate)});
-        base.insert(base.end(),
-                    {"--fault_spike_rate", StrFormat("%.17g", fault_spike_rate)});
-        base.insert(base.end(),
-                    {"--fault_spike_ms", StrFormat("%.17g", fault_spike_ms)});
-        base.insert(base.end(),
-                    {"--fault_slow_disk", StrFormat("%d", fault_slow_disk)});
-        base.insert(base.end(),
-                    {"--fault_slow_factor", StrFormat("%.17g", fault_slow_factor)});
-        base.insert(base.end(), {"--fault_slow_start_ms",
-                                 StrFormat("%.17g", fault_slow_start_ms)});
-        base.insert(base.end(),
-                    {"--fault_slow_end_ms", StrFormat("%.17g", fault_slow_end_ms)});
-        base.insert(base.end(),
-                    {"--fault_stop_disk", StrFormat("%d", fault_stop_disk)});
-        base.insert(base.end(), {"--fault_stop_start_ms",
-                                 StrFormat("%.17g", fault_stop_start_ms)});
-        base.insert(base.end(),
-                    {"--fault_stop_end_ms", StrFormat("%.17g", fault_stop_end_ms)});
-        base.insert(base.end(),
-                    {"--fault_seed", StrFormat("%lld", static_cast<long long>(fault_seed))});
-        base.insert(base.end(),
-                    {"--fault_max_retries", StrFormat("%d", fault_max_retries)});
-        base.insert(base.end(),
-                    {"--fault_timeout_ms", StrFormat("%.17g", fault_timeout_ms)});
-        base.insert(base.end(),
-                    {"--fault_backoff_ms", StrFormat("%.17g", fault_backoff_ms)});
-        base.insert(base.end(),
-                    {"--fault_backoff_mult", StrFormat("%.17g", fault_backoff_mult)});
+      // Each flag goes to the workers as the text given here, so they parse
+      // exactly what this driver parsed.
+      std::vector<std::string> base{argv[0]};
+      auto forward = [&](const std::string& name) {
+        if (std::optional<std::string> text = flags.Given(name)) {
+          base.push_back("--" + name + "=" + *text);
+        }
+      };
+      for (const ExperimentFlag& flag : kExperimentFlags) {
+        forward(flag.key);
       }
-      if (collect_metrics) {
-        base.push_back("--metrics");
+      for (const char* name : kWorkerFlags) {
+        forward(name);
       }
-      base.insert(base.end(), {"--max_sim_events",
-                               StrFormat("%lld", static_cast<long long>(max_sim_events))});
-      base.insert(base.end(), {"--max_wall_ms", StrFormat("%.17g", max_wall_ms)});
-      base.insert(base.end(), {"--threads", StrFormat("%d", threads)});
 
       sweep::DispatcherOptions options;
       options.num_shards = num_shards;
@@ -779,6 +681,10 @@ int main(int argc, char** argv) {
 
   // Single-process mode: the whole grid on the in-process worker pool. This
   // is the reference the sharded modes are byte-compared against.
-  std::vector<core::ExperimentResult> results = core::RunSweep(units, threads, deadline);
-  return EmitResults(units, results, format, json_path);
+  auto results = core::RunSweep(units, threads, deadline);
+  if (!results.ok()) {
+    std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
+    return 1;
+  }
+  return EmitResults(units, *results, format, json_path);
 }

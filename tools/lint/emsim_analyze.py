@@ -49,8 +49,8 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        Mutable shared state with no declared discipline:
                        a function-local `static` that is mutated and
                        reachable from a parallel entry point (ThreadPool::
-                       Run/RunTasks/WorkerLoop, RunSweepRange/RunTrials
-                       Parallel/RunSweepParallel, RunShardedSweep) and is
+                       Run/RunTasks/WorkerLoop, RunSweepRange, RunTrials,
+                       RunSweep, RunShardedSweep) and is
                        neither const, std::atomic, once_flag, nor a
                        lock-bearing type; or a data member of a lock-bearing
                        class (one that owns a Mutex) that is neither
@@ -138,8 +138,8 @@ EXPORT_SINK_PATTERNS = (
 # Parallel-aggregation functions policed by float-reduction-order, by simple
 # name, plus their direct same-file helpers.
 AGG_ROOT_NAMES = {
-    "AggregateTrials", "AggregateGrid", "RunTrials", "RunTrialsParallel",
-    "RunSweep", "RunSweepRange", "RunSweepParallel", "MergeShardArtifacts",
+    "AggregateTrials", "AggregateGrid", "RunTrials", "RunSweep", "RunSweepRange",
+    "MergeShardArtifacts",
 }
 # The sanctioned reduction implementation: Welford Add/Merge lives here.
 FLOAT_EXEMPT_RE = re.compile(r"^src/stats/")
@@ -170,8 +170,7 @@ BLOCKING_IDS = {"mutex", "timed_mutex", "recursive_mutex",
 # whole-name or `::`-suffix.
 PARALLEL_ROOTS = (
     "ThreadPool::Run", "ThreadPool::RunTasks", "ThreadPool::WorkerLoop",
-    "RunSweepRange", "RunTrialsParallel", "RunSweepParallel",
-    "RunShardedSweep",
+    "RunSweepRange", "RunTrials", "RunSweep", "RunShardedSweep",
 )
 
 # RAII locker types that acquire a capability for a lexical scope. An
