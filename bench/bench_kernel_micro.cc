@@ -23,7 +23,6 @@
 #include "disk/mechanism.h"
 #include "extsort/loser_tree.h"
 #include "obs/metrics.h"
-#include "sim/event.h"
 #include "sim/frame_pool.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
@@ -122,52 +121,6 @@ void BM_CalendarHold(benchmark::State& state) {
 }
 BENCHMARK(BM_CalendarHold)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-// A cohort member for the same-timestamp-burst bench: alternates between two
-// latch events so the driver can rearm one while everyone waits on the other.
-sim::Process BurstCohortWaiter(sim::Event& ping, sim::Event& pong) {
-  for (;;) {
-    co_await ping.Wait();
-    co_await pong.Wait();
-  }
-}
-
-// The high-prefetch-depth common case: D disk completions land on one tick
-// and Event::Set releases the whole cohort through ScheduleHandleBurst — one
-// calendar entry for D resumes instead of D pushes + D pops. Each op is one
-// full burst cycle (Set, dispatch D waiters, rearm); events_per_op = D
-// because a burst still counts one processed event per member. Ping-pong
-// between two latches keeps every waiter list and the pooled burst cell at
-// steady-state capacity, so allocs_per_op gates at zero here too.
-void BM_CalendarSameTimeBurst(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  sim::Simulation sim;
-  sim::Event ping(&sim);
-  sim::Event pong(&sim);
-  for (int i = 0; i < d; ++i) {
-    sim.Spawn(BurstCohortWaiter(ping, pong));
-  }
-  sim.Run();  // Everyone parks on ping.
-  sim::Event* phases[2] = {&ping, &pong};
-  int cur = 0;
-  for (int round = 0; round < 4; ++round) {  // Warm both waiter lists.
-    phases[cur]->Set();
-    sim.Run();
-    phases[cur]->Reset();
-    cur ^= 1;
-  }
-  uint64_t allocs0 = HeapAllocs();
-  uint64_t events0 = sim.events_processed();
-  for (auto _ : state) {
-    phases[cur]->Set();
-    sim.Run();
-    phases[cur]->Reset();
-    cur ^= 1;
-  }
-  state.SetItemsProcessed(state.iterations() * d);
-  SetKernelCounters(state, sim.events_processed() - events0, allocs0);
-}
-BENCHMARK(BM_CalendarSameTimeBurst)->Arg(4)->Arg(16)->Arg(64);
-
 sim::Process Hopper(sim::Simulation& /*sim*/, int hops) {
   for (int i = 0; i < hops; ++i) {
     co_await sim::Delay(1.0);
@@ -260,6 +213,41 @@ void BM_FullMergeTrial(benchmark::State& state) {
   SetKernelCounters(state, events, allocs0);
 }
 BENCHMARK(BM_FullMergeTrial)->Arg(1)->Arg(10);
+
+/// One seed-1 trial per op, so events_per_op is that trial's exact event
+/// count whatever the iteration count.
+void RunFixedSeedTrials(benchmark::State& state, core::MergeConfig cfg) {
+  cfg.seed = 1;
+  uint64_t allocs0 = HeapAllocs();
+  uint64_t events = 0;
+  for (auto _ : state) {
+    auto result = core::SimulateMerge(cfg);
+    benchmark::DoNotOptimize(result->total_ms);
+    events += result->sim_events;
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.num_runs * cfg.blocks_per_run);
+  SetKernelCounters(state, events, allocs0);
+}
+
+// The perfbench deep-prefetch geometry: k=50, D=10, N=30, so nearly every
+// event is a block delivery.
+void BM_FullMergeTrialDeepPrefetch(benchmark::State& state) {
+  RunFixedSeedTrials(state, core::MergeConfig::Paper(50, 10, 30, core::Strategy::kAllDisksOneRun,
+                                                     core::SyncMode::kUnsynchronized));
+}
+BENCHMARK(BM_FullMergeTrialDeepPrefetch);
+
+// The perfbench cache-bound-writes geometry: k=50, D=5, N=10, a 600-block
+// cache under conservative admission, and write-behind to the input disks.
+void BM_FullMergeTrialCacheBoundWrites(benchmark::State& state) {
+  core::MergeConfig cfg = core::MergeConfig::Paper(50, 5, 10, core::Strategy::kAllDisksOneRun,
+                                                   core::SyncMode::kUnsynchronized);
+  cfg.cache_blocks = 600;
+  cfg.admission = core::AdmissionPolicy::kConservative;
+  cfg.write_traffic = core::WriteTraffic::kSharedDisks;
+  RunFixedSeedTrials(state, cfg);
+}
+BENCHMARK(BM_FullMergeTrialCacheBoundWrites);
 
 /// A fixed 80-task shard: one unit of 80 short k=10, D=5 inter-run trials,
 /// run once and shared by the artifact-path benches.

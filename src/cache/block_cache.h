@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/event.h"
+#include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/time_weighted.h"
 #include "util/check.h"

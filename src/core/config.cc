@@ -39,6 +39,14 @@ Status MergeConfig::Validate() const {
   if (num_runs < 1 || num_disks < 1 || blocks_per_run < 1) {
     return Status::InvalidArgument("num_runs, num_disks and blocks_per_run must be >= 1");
   }
+  if (num_runs > kMaxRuns) {
+    return Status::InvalidArgument(
+        StrFormat("num_runs (runs) = %d exceeds the limit of %d", num_runs, kMaxRuns));
+  }
+  if (num_disks > kMaxDisks) {
+    return Status::InvalidArgument(
+        StrFormat("num_disks (disks) = %d exceeds the limit of %d", num_disks, kMaxDisks));
+  }
   if (prefetch_depth < 1) {
     return Status::InvalidArgument("prefetch_depth (N) must be >= 1");
   }
@@ -63,8 +71,10 @@ Status MergeConfig::Validate() const {
     return Status::InvalidArgument("cpu_ms_per_block must be >= 0");
   }
   if (write_traffic != WriteTraffic::kNone) {
-    if (write_traffic == WriteTraffic::kSeparateDisks && num_write_disks < 1) {
-      return Status::InvalidArgument("num_write_disks must be >= 1");
+    if (write_traffic == WriteTraffic::kSeparateDisks &&
+        (num_write_disks < 1 || num_write_disks > kMaxDisks)) {
+      return Status::InvalidArgument(
+          StrFormat("num_write_disks must be in [1, %d]", kMaxDisks));
     }
     if (write_batch_blocks < 1) {
       return Status::InvalidArgument("write_batch_blocks must be >= 1");

@@ -140,6 +140,11 @@ struct MergeConfig {
   bool collect_metrics = false;
 
   static constexpr int64_t kAutoCache = -1;
+  /// Largest run and disk counts Validate accepts: a trial builds per-run
+  /// and per-disk state, so a count far past any merge geometry would only
+  /// exhaust memory.
+  static constexpr int kMaxRuns = 1000000;
+  static constexpr int kMaxDisks = 10000;
 
   /// Resolved cache size.
   int64_t EffectiveCacheBlocks() const;

@@ -177,11 +177,11 @@ sim::Process Disk::Serve() {
       stats_.fault_extra_ms += service_ms - (media_error ? 0.0 : base_service_ms);
     }
 
-    if (positioning_ms > 0) {
-      co_await sim::Delay(positioning_ms);
-    }
     if (media_error) {
       // The failed request pays its positioning cost but delivers nothing.
+      if (positioning_ms > 0) {
+        co_await sim::Delay(positioning_ms);
+      }
       ++stats_.media_errors;
       if (req.progress != nullptr) {
         req.progress->phase = RequestPhase::kFailed;
@@ -190,8 +190,9 @@ sim::Process Disk::Serve() {
       SetBusy(false);
       continue;
     }
-    for (int i = 0; i < req.nblocks; ++i) {
-      co_await sim::Delay(per_block);
+    // Positioning, then one kernel tick per block: block i reaches the sink
+    // as its transfer ends, while the server suspends once per request.
+    co_await sim::Ticks(positioning_ms, per_block, req.nblocks, [this, &req](int i) {
       ++stats_.blocks_transferred;
       if (metric_blocks_ != nullptr) {
         metric_blocks_->Increment();
@@ -199,7 +200,7 @@ sim::Process Disk::Serve() {
       if (req.sink != nullptr) {
         req.sink->OnBlock(req, i);
       }
-    }
+    });
     if (req.progress != nullptr) {
       req.progress->phase = RequestPhase::kDone;
     }

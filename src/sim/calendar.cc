@@ -9,7 +9,7 @@ void CalendarQueue::FindMinSparse() {
   // cursor. Fall back to a direct search over bucket fronts on the real
   // (time, seq) keys and jump the cursor to the winner (Brown's "direct
   // search" case).
-  const size_t nbuckets = buckets_.size();
+  const size_t nbuckets = num_buckets_;
   size_t best = SIZE_MAX;
   for (size_t b = 0; b < nbuckets; ++b) {
     if (buckets_[b].empty()) {
@@ -26,9 +26,9 @@ void CalendarQueue::FindMinSparse() {
 }
 
 void CalendarQueue::DrainInOrder(std::vector<CalEntry>* out) {
-  for (std::vector<CalEntry>& bucket : buckets_) {
-    out->insert(out->end(), bucket.begin(), bucket.end());
-    bucket.clear();
+  for (size_t b = 0; b < num_buckets_; ++b) {
+    out->insert(out->end(), buckets_[b].begin(), buckets_[b].end());
+    buckets_[b].clear();
   }
   std::sort(out->begin(), out->end(), EarlierThan);
   size_ = 0;
@@ -38,17 +38,18 @@ void CalendarQueue::DrainInOrder(std::vector<CalEntry>* out) {
 
 void CalendarQueue::Resize(size_t new_bucket_count) {
   // Collect into a recycled scratch buffer; clear() keeps every bucket's
-  // capacity, and resize() below keeps the surviving vectors' heap storage,
-  // so a resize allocates (almost) nothing once the structure has warmed up.
+  // capacity, and a shrink only lowers num_buckets_, so the buckets it drops
+  // keep their storage for the next grow: once the structure has warmed up
+  // to its peak size, a resize allocates nothing.
   // The full sort this used to do was the single most expensive part of
   // filling a calendar from cold — resizes need the pending set ordered only
   // far enough to estimate the width, which selection gives in O(n).
   std::vector<CalEntry>& pending = resize_scratch_;
   pending.clear();
   pending.reserve(size_);
-  for (std::vector<CalEntry>& bucket : buckets_) {
-    pending.insert(pending.end(), bucket.begin(), bucket.end());
-    bucket.clear();
+  for (size_t b = 0; b < num_buckets_; ++b) {
+    pending.insert(pending.end(), buckets_[b].begin(), buckets_[b].end());
+    buckets_[b].clear();
   }
 
   // Adapt the width to 3x the average gap of the earliest ~25 entries (after
@@ -69,7 +70,10 @@ void CalendarQueue::Resize(size_t new_bucket_count) {
     }
   }
 
-  buckets_.resize(new_bucket_count);
+  if (buckets_.size() < new_bucket_count) {
+    buckets_.resize(new_bucket_count);
+  }
+  num_buckets_ = new_bucket_count;
   if (pending.empty()) {
     cur_virtual_ = 0;
   } else {

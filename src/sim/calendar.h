@@ -15,15 +15,15 @@ using SimTime = double;
 
 /// One calendar entry, 16 bytes so a 4-ary heap sift or a bucket insert moves
 /// two words per hop instead of three. `payload` is a tagged slot index (see
-/// Simulation): the low two bits select coroutine-handle / pooled-callback /
-/// burst-group dispatch, the rest index the matching slot pool. Keeping the
+/// Simulation): the low bit selects coroutine-handle or pooled-callback
+/// dispatch, the rest index the matching slot pool. Keeping the
 /// payload an index (not a pointer) is also what lets the kernel drop its
 /// pointer-cast determinism-lint suppression: nothing address-derived is ever
 /// stored in an ordered structure.
 struct CalEntry {
   SimTime time;
   uint32_t seq;      // FIFO tie-break for equal times.
-  uint32_t payload;  // (slot << 2) | tag.
+  uint32_t payload;  // (slot << 1) | tag.
 };
 static_assert(sizeof(CalEntry) == 16, "calendar entries must stay 16 bytes");
 
@@ -76,7 +76,7 @@ class CalendarQueue {
   void DrainInOrder(std::vector<CalEntry>* out);
 
   /// Introspection for tests: current bucket-array size and bucket width.
-  size_t NumBuckets() const { return buckets_.size(); }
+  size_t NumBuckets() const { return num_buckets_; }
   SimTime BucketWidth() const { return width_; }
 
  private:
@@ -108,7 +108,7 @@ class CalendarQueue {
   }
 
   size_t BucketIndex(uint64_t virtual_bucket) const {
-    return static_cast<size_t>(virtual_bucket & (buckets_.size() - 1));
+    return static_cast<size_t>(virtual_bucket & (num_buckets_ - 1));
   }
 
   /// Sorted insert (scan from the back: event traffic is mostly ascending in
@@ -125,7 +125,10 @@ class CalendarQueue {
   /// Rebuilds with `new_bucket_count` buckets and a freshly estimated width.
   void Resize(size_t new_bucket_count);
 
-  std::vector<std::vector<CalEntry>> buckets_;  // Power-of-two count.
+  // The first num_buckets_ (a power of two) are live. A shrink keeps the
+  // vectors past them, storage and all, for the next grow to reuse.
+  std::vector<std::vector<CalEntry>> buckets_;
+  size_t num_buckets_ = kMinBuckets;
   size_t size_ = 0;
   SimTime width_ = 1.0;
   SimTime inv_width_ = 1.0;  // Cached 1/width_ (see VirtualBucket).
@@ -173,8 +176,8 @@ inline void CalendarQueue::Push(CalEntry entry) {
   // cost nearly nothing to scan, while a miss on the bucket header costs a
   // memory round-trip on every push). Post-growth load is ~1, centered in
   // the [1/2, 4] hysteresis band against the shrink rule in PopMin.
-  if (size_ > 4 * buckets_.size()) {
-    Resize(4 * buckets_.size());
+  if (size_ > 4 * num_buckets_) {
+    Resize(4 * num_buckets_);
   }
 }
 
@@ -183,7 +186,7 @@ inline void CalendarQueue::FindMin() {
     return;
   }
   EMSIM_CHECK(size_ > 0);
-  const size_t nbuckets = buckets_.size();
+  const size_t nbuckets = num_buckets_;
   // Sweep at most one year from the cursor. The first bucket whose front is
   // due (its virtual bucket equals the cursor position being examined) holds
   // the global minimum: no pending entry has a virtual bucket below the
@@ -217,8 +220,8 @@ inline CalEntry CalendarQueue::PopMin() {
   // Shrink at half load, halving: the load lands back at ~1, centered in
   // the [1/2, 4] hysteresis band against the grow rule in Push, so an
   // oscillating population cannot thrash grow/shrink.
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-    Resize(buckets_.size() / 2);
+  if (num_buckets_ > kMinBuckets && size_ < num_buckets_ / 2) {
+    Resize(num_buckets_ / 2);
   }
   return entry;
 }

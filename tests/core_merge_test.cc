@@ -58,6 +58,40 @@ TEST(MergeConfigTest, ValidationRejectsNonsense) {
   EXPECT_TRUE(SmallConfig().Validate().ok());
 }
 
+TEST(MergeConfigTest, ValidationRejectsCountsThatCannotBeBuilt) {
+  // Each count is rejected by name before any per-run or per-disk structure
+  // exists; at INT_MAX a RunLayout would exhaust memory.
+  MergeConfig cfg = SmallConfig();
+  cfg.num_disks = 2147483647;
+  Status status = cfg.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("disks"), std::string::npos) << status.ToString();
+
+  cfg = SmallConfig();
+  cfg.num_runs = 2147483647;
+  status = cfg.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("runs"), std::string::npos) << status.ToString();
+
+  cfg = SmallConfig();
+  cfg.write_traffic = WriteTraffic::kSeparateDisks;
+  cfg.num_write_disks = 2147483647;
+  status = cfg.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("write_disks"), std::string::npos) << status.ToString();
+
+  // The limits themselves are accepted.
+  cfg = SmallConfig();
+  cfg.num_disks = MergeConfig::kMaxDisks;
+  EXPECT_TRUE(cfg.Validate().ok()) << cfg.Validate().ToString();
+  cfg = SmallConfig();
+  cfg.num_runs = MergeConfig::kMaxRuns;
+  cfg.num_disks = 20;  // One-block runs fit on 20 paper disks.
+  cfg.blocks_per_run = 1;
+  cfg.prefetch_depth = 1;
+  EXPECT_TRUE(cfg.Validate().ok()) << cfg.Validate().ToString();
+}
+
 TEST(MergeConfigTest, ToStringAppendsTheFaultSpecOnlyWhenInjecting) {
   MergeConfig cfg = SmallConfig();
   const std::string plain = cfg.ToString();

@@ -7,6 +7,7 @@
 // binary. Sanitizer builds install their own allocator, so tests/CMakeLists.txt
 // leaves this suite out of them.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "core/merge_simulator.h"
 #include "core/result.h"
 #include "disk/layout.h"
+#include "sim/calendar.h"
 #include "util/status.h"
 
 namespace emsim::core {
@@ -99,8 +101,9 @@ TEST(MergeAllocTest, RetriedFetchesUnderMediaErrors) {
   // Every fetch goes through the retry driver; injected media errors and
   // latency spikes exercise its resubmission path, which recycles job and
   // attempt slots. Timeouts are off: each armed watchdog sits 2 s ahead on
-  // the calendar, whose queue buckets then grow and shrink with the
-  // population (kernel allocations, ~0.03 per block, not the driver's).
+  // the calendar, and the queue's buckets keep growing to new peak
+  // occupancies over a long trial (kernel allocations, ~0.018 per block, not
+  // the driver's).
   MergeConfig config =
       MergeConfig::Paper(25, 5, 2, Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
   config.fault.media_error_rate = 0.01;
@@ -108,6 +111,36 @@ TEST(MergeAllocTest, RetriedFetchesUnderMediaErrors) {
   config.fault.latency_spike_ms = 10;
   config.fault.retry.timeout_ms = 0;
   EXPECT_LT(MarginalAllocsPerBlock(config), kMaxAllocsPerBlock);
+}
+
+TEST(CalendarQueueTest, GrowShrinkCyclesAllocateNothingAfterWarmUp) {
+  // Each cycle fills the queue past several grow thresholds and drains it
+  // through the matching shrinks. The first cycles size the bucket array and
+  // the buckets; later cycles must reuse that storage.
+  sim::CalendarQueue cq;
+  uint32_t seq = 0;
+  double now = 0.0;
+  size_t peak_buckets = 0;
+  auto cycle = [&] {
+    for (int i = 0; i < 300; ++i) {
+      cq.Push(sim::CalEntry{now + 0.25 * static_cast<double>((i * 37) % 101), seq, seq});
+      ++seq;
+    }
+    peak_buckets = std::max(peak_buckets, cq.NumBuckets());
+    while (!cq.empty()) {
+      now = cq.PopMin().time;
+    }
+  };
+  for (int c = 0; c < 3; ++c) {
+    cycle();
+  }
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int c = 0; c < 20; ++c) {
+    cycle();
+  }
+  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_GT(peak_buckets, 16u);
+  EXPECT_LT(cq.NumBuckets(), peak_buckets);
 }
 
 }  // namespace

@@ -222,7 +222,9 @@ class SweepCliTest(unittest.TestCase):
         for extra in (["--trials", "0"],
                       ["--trials", "-3"],
                       ["--fault_media_error_rate", "0.1", "--fault_timeout_ms", "nan"],
-                      ["--n", "4294967297"]):
+                      ["--n", "4294967297"],
+                      ["--disks", "2147483647"],
+                      ["--runs", "2147483647"]):
             with self.subTest(extra=extra):
                 proc = run_cli(base + extra, cwd=self.dir, check=False)
                 self.assertEqual(proc.returncode, 2, proc.stderr)
