@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "analysis/equations.h"
 #include "disk/disk_params.h"
 #include "util/rng.h"
 

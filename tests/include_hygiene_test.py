@@ -35,6 +35,11 @@ THING_H = ("#ifndef EMSIM_UTIL_THING_H_\n"
            "struct Thing {};\n"
            "#endif\n")
 
+TALLY_H = ("#ifndef EMSIM_UTIL_TALLY_H_\n"
+           "#define EMSIM_UTIL_TALLY_H_\n"
+           "int Tally(int n);\n"
+           "#endif\n")
+
 # Mirrors util/thread_annotations.h + util/mutex.h: the class keyword is
 # followed by a macro attribute, with and without an argument list.
 ANNOTATIONS_H = ("#ifndef EMSIM_UTIL_ANNOTATIONS_H_\n"
@@ -118,6 +123,31 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual([], findings)
         self.assertEqual(1, len(suppressions))
         self.assertEqual("unused-include", suppressions[0]["kind"])
+
+    def test_member_named_like_a_header_symbol_is_not_a_use(self):
+        files = {
+            "src/util/tally.h": TALLY_H,
+            "src/a.cc": "class Box {\n public:\n  void Tally(int n) { n_ += n; }\n"
+                        " private:\n  int n_ = 0;\n};\n"
+                        "void Fill(Box& b) { b.Tally(1); }\n",
+        }
+        findings, _ = run_tree(files)
+        self.assertEqual([], findings)
+        files["src/a.cc"] = '#include "util/tally.h"\n\n' + files["src/a.cc"]
+        findings, _ = run_tree(files)
+        self.assertEqual([("unused-include", '"util/tally.h"')],
+                         [(f["kind"], f["what"]) for f in findings])
+
+    def test_member_bodies_and_annotation_macros_still_count(self):
+        findings, _ = run_tree({
+            "src/util/annotations.h": ANNOTATIONS_H,
+            "src/util/tally.h": TALLY_H,
+            "src/a.cc": '#include "util/annotations.h"\n#include "util/tally.h"\n\n'
+                        "class Box {\n public:\n"
+                        "  int Count() const EMSIM_CAPABILITY(x) { return Tally(1); }\n"
+                        "};\n",
+        })
+        self.assertEqual([], findings)
 
     def test_associated_header_include_is_never_flagged(self):
         findings, _ = run_tree({

@@ -17,6 +17,8 @@ Export maps come from two sources:
     macros and constexpr constants. Member names never enter the map (brace
     depth is tracked, with `namespace {` transparent), so `x.value()` does not
     count as using a header that declares a class with a `value()` method.
+    Likewise a member function the scanned file declares in a class body is
+    its own name, not a use of a header's same-named free symbol.
   * Standard headers use a curated symbol table (STD_EXPORTS below) covering
     every std header this repository includes. Headers outside the table —
     third-party ones like <gtest/gtest.h>, or headers whose use is inherently
@@ -268,6 +270,51 @@ def parse_exports(text: str) -> set[str]:
     return exports
 
 
+# A `{` that opens a class body: the class key and an optional name, macro
+# attribute and base clause run right up to the brace.
+_CLASS_HEAD_RE = re.compile(
+    r"\b(?:class|struct|union)\s+(?:\[\[[^\]]*\]\]\s*)?(?:alignas\([^)]*\)\s*)?"
+    r"(?:[A-Z][A-Z0-9_]+(?:\([^)]*\))?\s+)?(?:[A-Za-z_][\w:]*\s*)?"
+    r"(?:final\s*)?(?::[^{};()]*)?$")
+# A member function declarator: a name and '(' after a return type.
+_MEMBER_DECL_RE = re.compile(r"[\w>&*]\s+([A-Za-z_]\w*)\s*\(")
+
+
+def blank_member_declarations(stripped: str) -> str:
+    """Blanks the name of every member function declared directly in a class
+    body. `void Record(int)` inside a class declares the file's own member; it
+    is no use of a namespace-scope `Record` from some header. All-caps names
+    (annotation macros such as `EMSIM_EXCLUDES(mu_)`) are kept, and so is
+    everything inside member function bodies, which sit one brace deeper."""
+    chars = list(stripped)
+    stack: list[bool] = []   # per open brace: does it open a class body?
+    head_start = 0           # start of the text since the last ; { or }
+    region_start = None      # start of the current class-body stretch
+
+    def blank_region(begin: int, end: int):
+        for m in _MEMBER_DECL_RE.finditer(stripped, begin, end):
+            name = m.group(1)
+            if name.isupper() or name in _DECL_KEYWORDS:
+                continue
+            for i in range(m.start(1), m.end(1)):
+                chars[i] = " "
+
+    for i, c in enumerate(stripped):
+        if c not in "{};":
+            continue
+        if region_start is not None and c != ";":
+            blank_region(region_start, i)
+            region_start = None
+        if c == "{":
+            stack.append(bool(_CLASS_HEAD_RE.search(stripped[head_start:i])))
+        elif c == "}" and stack:
+            stack.pop()
+        if c != ";" and stack and stack[-1]:
+            region_start = i + 1
+        head_start = i + 1
+    return "".join(chars)
+
+
 # ---------------------------------------------------------------------------
 # Per-file analysis
 # ---------------------------------------------------------------------------
@@ -363,11 +410,13 @@ class HygieneChecker:
         return resolved
 
     def _usage_text(self, relpath: str) -> str:
-        """Comment/string-stripped text with include directives blanked."""
+        """Comment/string-stripped text with include directives and member
+        function declarations blanked."""
         cached = self._usage_cache.get(relpath)
         if cached is not None:
             return cached
-        stripped = strip_comments_and_strings(self.texts[relpath])
+        stripped = blank_member_declarations(
+            strip_comments_and_strings(self.texts[relpath]))
         lines = stripped.splitlines()
         for inc in self.direct_includes[relpath]:
             idx = inc.lineno - 1
