@@ -95,8 +95,8 @@ int main() {
   using namespace emsim;
   bench::Banner(
       "Extension X-SORT: real external sort -> trace-driven timing",
-      "250k 16-byte records, load-sort runs (10k records each), real k-way\n"
-      "merge depletion traces timed on 5 disks at N in {1,10}. Expected\n"
+      "1M 16-byte records, load-sort runs (40k records each, 25 runs), real\n"
+      "k-way merge depletion traces timed on 5 disks at N in {1,10}. Expected\n"
       "shape: All Disks One Run beats Demand Run Only on real traces too;\n"
       "nearly-sorted input (disjoint ranges -> sequential depletion) is the\n"
       "stress case for inter-run prefetching.");

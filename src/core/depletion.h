@@ -32,7 +32,7 @@ std::unique_ptr<DepletionModel> MakeUniformDepletion(int num_runs);
 std::unique_ptr<DepletionModel> MakeZipfDepletion(int num_runs, double theta);
 
 /// Replays a fixed depletion sequence (e.g. extracted from a real merge of
-/// sorted data by extsort::BuildDepletionTrace).
+/// sorted data by extsort::ExtractDepletionTrace).
 std::unique_ptr<DepletionModel> MakeTraceDepletion(std::vector<int> trace);
 
 }  // namespace emsim::core

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "disk/disk_params.h"
 #include "util/check.h"
 #include "util/str.h"
 
@@ -80,26 +79,6 @@ Status FaultyBlockDevice::Write(int64_t index, std::span<const uint8_t> data) {
     ++writes_;
   }
   return status;
-}
-
-TimedBlockDevice::TimedBlockDevice(std::unique_ptr<BlockDevice> base,
-                                   const disk::DiskParams& params, uint64_t seed)
-    : base_(std::move(base)), mechanism_(params), rng_(seed) {
-  EMSIM_CHECK(base_ != nullptr);
-}
-
-Status TimedBlockDevice::Read(int64_t index, std::span<uint8_t> out) {
-  EMSIM_RETURN_IF_ERROR(base_->Read(index, out));
-  elapsed_ms_ += mechanism_.Access(index, 1, rng_, elapsed_ms_).TotalMs();
-  ++reads_;
-  return Status::OK();
-}
-
-Status TimedBlockDevice::Write(int64_t index, std::span<const uint8_t> data) {
-  EMSIM_RETURN_IF_ERROR(base_->Write(index, data));
-  elapsed_ms_ += mechanism_.Access(index, 1, rng_, elapsed_ms_).TotalMs();
-  ++writes_;
-  return Status::OK();
 }
 
 }  // namespace emsim::extsort

@@ -7,18 +7,14 @@
 #include <span>
 #include <vector>
 
-#include "disk/disk_params.h"
-#include "disk/mechanism.h"
 #include "fault/fault_plan.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace emsim::extsort {
 
-/// Random-access block storage — the substrate the external sorter reads
-/// and writes. Implementations: an in-memory device (fast, for correctness)
-/// and a timing device that also accounts simulated disk time using the
-/// same Mechanism as the merge simulator.
+/// Random-access block storage — the substrate run formation and the merger
+/// read and write. Implementations: an in-memory device and a fault-injecting
+/// decorator over any device.
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
@@ -62,7 +58,7 @@ class MemoryBlockDevice : public BlockDevice {
 };
 
 /// Decorator injecting I/O failures at configurable rates — exercises the
-/// library's Status paths (run formation, merging, tag sort) under disk
+/// library's Status paths (run formation, run I/O, merging) under disk
 /// errors. Uses the same seeded fault vocabulary as the simulation's
 /// fault::FaultPlan, so a spec exercised against the simulator and a real
 /// sort exercised against this device share one set of fault options.
@@ -85,36 +81,6 @@ class FaultyBlockDevice : public BlockDevice {
  private:
   std::unique_ptr<BlockDevice> base_;
   fault::MediaErrorInjector injector_;
-};
-
-/// Decorator adding simulated disk-time accounting to any device: each
-/// Read/Write advances an internal clock by the Mechanism's access cost
-/// (serialized — one arm). Sequential accesses are detected by the
-/// mechanism when its params enable the optimization.
-class TimedBlockDevice : public BlockDevice {
- public:
-  TimedBlockDevice(std::unique_ptr<BlockDevice> base, const disk::DiskParams& params,
-                   uint64_t seed);
-
-  size_t block_bytes() const override { return base_->block_bytes(); }
-  int64_t num_blocks() const override { return base_->num_blocks(); }
-  Status Read(int64_t index, std::span<uint8_t> out) override;
-  Status Write(int64_t index, std::span<const uint8_t> data) override;
-
-  /// Accumulated simulated I/O time.
-  double elapsed_ms() const { return elapsed_ms_; }
-
-  /// Zeroes the accumulated time; the arm position is retained (useful for
-  /// timing one phase of a multi-phase job).
-  void ResetClock() { elapsed_ms_ = 0.0; }
-
-  BlockDevice* base() { return base_.get(); }
-
- private:
-  std::unique_ptr<BlockDevice> base_;
-  disk::Mechanism mechanism_;
-  Rng rng_;
-  double elapsed_ms_ = 0.0;
 };
 
 }  // namespace emsim::extsort

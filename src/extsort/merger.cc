@@ -11,11 +11,9 @@
 
 namespace emsim::extsort {
 
-namespace {
-
-Result<MergeOutcome> MergeImpl(BlockDevice* input_device,
+Result<MergeOutcome> MergeRuns(BlockDevice* input_device,
                                const std::vector<RunDescriptor>& runs,
-                               BlockDevice* output_device, const KWayMergeOptions& options) {
+                               BlockDevice* output_device) {
   EMSIM_CHECK(input_device != nullptr);
   if (runs.empty()) {
     return Status::InvalidArgument("no runs to merge");
@@ -25,8 +23,7 @@ Result<MergeOutcome> MergeImpl(BlockDevice* input_device,
   std::vector<std::unique_ptr<RunReader>> readers;
   readers.reserve(runs.size());
   for (const RunDescriptor& run : runs) {
-    readers.push_back(
-        std::make_unique<RunReader>(input_device, run, options.reader_buffer_blocks));
+    readers.push_back(std::make_unique<RunReader>(input_device, run));
   }
 
   LoserTree<Record> tree(k);
@@ -37,9 +34,6 @@ Result<MergeOutcome> MergeImpl(BlockDevice* input_device,
   }
 
   auto note_depletions = [&](int source) {
-    if (!options.record_depletion_trace) {
-      return;
-    }
     int64_t now = readers[static_cast<size_t>(source)]->blocks_depleted();
     for (int64_t i = depleted[static_cast<size_t>(source)]; i < now; ++i) {
       outcome.depletion_trace.push_back(source);
@@ -61,7 +55,7 @@ Result<MergeOutcome> MergeImpl(BlockDevice* input_device,
 
   std::unique_ptr<RunWriter> writer;
   if (output_device != nullptr) {
-    writer = std::make_unique<RunWriter>(output_device, options.output_start_block);
+    writer = std::make_unique<RunWriter>(output_device, /*start_block=*/0);
   }
 
   Record previous;
@@ -102,19 +96,9 @@ Result<MergeOutcome> MergeImpl(BlockDevice* input_device,
   return outcome;
 }
 
-}  // namespace
-
-Result<MergeOutcome> MergeRuns(BlockDevice* input_device,
-                               const std::vector<RunDescriptor>& runs,
-                               BlockDevice* output_device, const KWayMergeOptions& options) {
-  return MergeImpl(input_device, runs, output_device, options);
-}
-
 Result<MergeOutcome> ExtractDepletionTrace(BlockDevice* input_device,
                                            const std::vector<RunDescriptor>& runs) {
-  KWayMergeOptions options;
-  options.record_depletion_trace = true;
-  return MergeImpl(input_device, runs, /*output_device=*/nullptr, options);
+  return MergeRuns(input_device, runs, /*output_device=*/nullptr);
 }
 
 }  // namespace emsim::extsort

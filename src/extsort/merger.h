@@ -26,22 +26,18 @@ struct MergeOutcome {
   std::vector<int64_t> run_blocks;
 };
 
-struct KWayMergeOptions {
-  int reader_buffer_blocks = 1;  ///< Blocks per input read.
-  int64_t output_start_block = 0;
-  bool record_depletion_trace = true;
-};
-
-/// Merges the given sorted runs (all on `input_device`) into one run on
-/// `output_device`, with the loser tree doing source selection. Verifies
-/// input order as it goes (corrupt runs fail).
+/// Merges the given sorted runs (all on `input_device`, read one block at a
+/// time) into one run written from block 0 of `output_device`, with the
+/// loser tree doing source selection, and records the depletion trace.
+/// A null `output_device` discards the merged records. Verifies input
+/// order as it goes (corrupt runs fail).
 Result<MergeOutcome> MergeRuns(BlockDevice* input_device,
                                const std::vector<RunDescriptor>& runs,
-                               BlockDevice* output_device, const KWayMergeOptions& options);
+                               BlockDevice* output_device);
 
-/// Convenience: merges and discards the output data, returning only the
-/// depletion trace (used to drive the simulator from real key
-/// distributions without materializing output).
+/// Merges without an output device, returning only the depletion trace
+/// (used to drive the simulator from real key distributions without
+/// materializing output).
 Result<MergeOutcome> ExtractDepletionTrace(BlockDevice* input_device,
                                            const std::vector<RunDescriptor>& runs);
 

@@ -16,7 +16,7 @@ namespace {
 Result<RunFormationResult> LoadSort(std::span<const Record> input, BlockDevice* device,
                                     const RunFormationOptions& options) {
   RunFormationResult out;
-  int64_t next_block = options.start_block;
+  int64_t next_block = 0;
   std::vector<Record> workspace;
   workspace.reserve(options.memory_records);
   size_t pos = 0;
@@ -62,7 +62,7 @@ Result<RunFormationResult> ReplacementSelection(std::span<const Record> input,
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
 
   RunFormationResult out;
-  int64_t next_block = options.start_block;
+  int64_t next_block = 0;
   size_t pos = 0;
   for (; pos < std::min(options.memory_records, input.size()); ++pos) {
     heap.push(Entry{0, input[pos]});

@@ -27,7 +27,6 @@ enum class RunFormationStrategy {
 struct RunFormationOptions {
   size_t memory_records = 4096;  ///< Records that fit in the sort workspace.
   RunFormationStrategy strategy = RunFormationStrategy::kLoadSort;
-  int64_t start_block = 0;       ///< First device block to write runs at.
 };
 
 /// Result of run formation.
@@ -36,7 +35,8 @@ struct RunFormationResult {
   int64_t next_free_block = 0;  ///< First block after the last run.
 };
 
-/// Sorts `input` into initial runs written contiguously on `device`.
+/// Sorts `input` into initial runs written contiguously on `device` from
+/// block 0.
 Result<RunFormationResult> FormRuns(std::span<const Record> input, BlockDevice* device,
                                     const RunFormationOptions& options);
 

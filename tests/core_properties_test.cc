@@ -2,8 +2,13 @@
 // hold for EVERY strategy/geometry combination, exercised with parameterized
 // gtest suites.
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +17,10 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/merge_simulator.h"
+#include "core/result.h"
+#include "core/result_json.h"
+#include "disk/layout.h"
+#include "stats/json_writer.h"
 
 namespace emsim::core {
 namespace {
@@ -153,6 +162,241 @@ INSTANTIATE_TEST_SUITE_P(PaperGrid, AnalyticAgreement,
                          ::testing::Combine(::testing::Values(25, 50),
                                             ::testing::Values(1, 5),
                                             ::testing::Values(1, 5, 10, 20)));
+
+// Metamorphic relations of the model: two configurations that the model
+// says are the same merge must give the same answer. Exact relations compare
+// every exported field of one trial; distributional ones compare trial
+// samples drawn across seeds.
+
+/// Every exported field of a trial, as the JSON export writes it.
+std::string ExportedFields(const MergeResult& result) {
+  stats::JsonWriter w;
+  WriteJson(w, result);
+  return w.Take();
+}
+
+/// Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+/// empirical CDFs of `a` and `b`.
+double KsStatistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  size_t i = 0;
+  size_t j = 0;
+  double gap = 0.0;
+  while (i < a.size() && j < b.size()) {
+    double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] <= x) {
+      ++i;
+    }
+    while (j < b.size() && b[j] <= x) {
+      ++j;
+    }
+    gap = std::max(gap, std::fabs(static_cast<double>(i) / static_cast<double>(a.size()) -
+                                  static_cast<double>(j) / static_cast<double>(b.size())));
+  }
+  return gap;
+}
+
+/// KS rejection threshold at significance 0.001 for two samples of m each
+/// (c(alpha) = sqrt(-ln(alpha/2) / 2) = 1.95).
+double KsCritical(size_t m) { return 1.95 * std::sqrt(2.0 / static_cast<double>(m)); }
+
+std::vector<double> TotalMsSamples(const ExperimentResult& result) {
+  std::vector<double> out;
+  for (const MergeResult& trial : result.trials) {
+    out.push_back(trial.total_ms);
+  }
+  return out;
+}
+
+std::vector<double> SuccessSamples(const ExperimentResult& result) {
+  std::vector<double> out;
+  for (const MergeResult& trial : result.trials) {
+    out.push_back(trial.SuccessRatio());
+  }
+  return out;
+}
+
+// Relation 1: intra-run prefetching at N = 1 is no prefetching. After the
+// initial one-block-per-run load, only the demand block is ever read, one
+// request at a time: waiting for "the batch" (synchronized) and for the
+// demand block (unsynchronized) are the same wait, and cache beyond one
+// frame per run is never used.
+using DepthOnePoint = std::tuple<int, DepletionKind, uint64_t>;  // D, depletion, seed
+
+class NoPrefetchAtDepthOne : public ::testing::TestWithParam<DepthOnePoint> {
+ protected:
+  MergeConfig Config(SyncMode sync) const {
+    auto [d, depletion, seed] = GetParam();
+    MergeConfig cfg = MergeConfig::Paper(20, d, 1, Strategy::kDemandRunOnly, sync);
+    cfg.blocks_per_run = 120;
+    cfg.depletion = depletion;
+    cfg.zipf_theta = 0.8;
+    cfg.seed = seed;
+    return cfg;
+  }
+};
+
+TEST_P(NoPrefetchAtDepthOne, SynchronizedEqualsUnsynchronized) {
+  auto sync = SimulateMerge(Config(SyncMode::kSynchronized));
+  auto unsync = SimulateMerge(Config(SyncMode::kUnsynchronized));
+  ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+  ASSERT_TRUE(unsync.ok()) << unsync.status().ToString();
+  EXPECT_EQ(ExportedFields(*sync), ExportedFields(*unsync));
+  EXPECT_EQ(unsync->disk_totals.blocks_transferred, unsync->disk_totals.requests);
+}
+
+TEST_P(NoPrefetchAtDepthOne, CacheBeyondOneBlockPerRunIsUnused) {
+  MergeConfig cfg = Config(SyncMode::kUnsynchronized);
+  auto tight = SimulateMerge(cfg);
+  cfg.cache_blocks = 10 * cfg.num_runs;
+  auto roomy = SimulateMerge(cfg);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
+  EXPECT_EQ(ExportedFields(*tight), ExportedFields(*roomy));
+  EXPECT_LE(roomy->cache_stats.peak_occupancy, cfg.num_runs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DisksAndDepletion, NoPrefetchAtDepthOne,
+    ::testing::Values(DepthOnePoint{1, DepletionKind::kUniform, 301},
+                      DepthOnePoint{2, DepletionKind::kUniform, 302},
+                      DepthOnePoint{4, DepletionKind::kUniform, 303},
+                      DepthOnePoint{5, DepletionKind::kUniform, 304},
+                      DepthOnePoint{10, DepletionKind::kUniform, 305},
+                      DepthOnePoint{1, DepletionKind::kZipf, 306},
+                      DepthOnePoint{2, DepletionKind::kZipf, 307},
+                      DepthOnePoint{4, DepletionKind::kZipf, 308},
+                      DepthOnePoint{5, DepletionKind::kZipf, 309},
+                      DepthOnePoint{10, DepletionKind::kZipf, 310}));
+
+// Relation 2: under uniform depletion the runs are exchangeable, so which
+// disk holds which run is a relabelling. Round-robin (run r on disk r mod D)
+// and blocked (runs in contiguous groups) placement put k/D runs on every
+// disk and differ only by a permutation of run ids; the time and success
+// distributions over seeds must agree.
+using RelabelPoint = std::tuple<Strategy, SyncMode, int>;  // strategy, sync, D
+
+class DiskRelabelling : public ::testing::TestWithParam<RelabelPoint> {
+ protected:
+  static constexpr int kTrials = 30;
+
+  ExperimentResult Run(disk::RunPlacement placement, DepletionKind depletion) const {
+    auto [strategy, sync, d] = GetParam();
+    MergeConfig cfg = MergeConfig::Paper(20, d, 4, strategy, sync);
+    cfg.blocks_per_run = 120;
+    // A cache between the intra-run need (k*N) and the inter-run one
+    // (k*N + D*N) keeps the inter-run success ratio away from 0 and 1.
+    cfg.cache_blocks = cfg.num_runs * cfg.prefetch_depth + d * cfg.prefetch_depth / 2;
+    cfg.placement = placement;
+    cfg.depletion = depletion;
+    cfg.zipf_theta = 1.2;
+    cfg.seed = 4000 + 100 * static_cast<uint64_t>(d) +
+               10 * static_cast<uint64_t>(strategy) + static_cast<uint64_t>(sync);
+    return RunTrials(cfg, kTrials);
+  }
+};
+
+TEST_P(DiskRelabelling, TimeDistributionUnchanged) {
+  ExperimentResult round_robin = Run(disk::RunPlacement::kRoundRobin, DepletionKind::kUniform);
+  ExperimentResult blocked = Run(disk::RunPlacement::kBlocked, DepletionKind::kUniform);
+  EXPECT_LE(KsStatistic(TotalMsSamples(round_robin), TotalMsSamples(blocked)),
+            KsCritical(kTrials));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategySyncDisks, DiskRelabelling,
+    ::testing::Combine(::testing::Values(Strategy::kDemandRunOnly, Strategy::kAllDisksOneRun),
+                       ::testing::Values(SyncMode::kSynchronized, SyncMode::kUnsynchronized),
+                       ::testing::Values(2, 4, 5)));
+
+// Intra-run fetches always fit the k*N cache, so only inter-run prefetching
+// has a success ratio that can move.
+class InterRunDiskRelabelling : public DiskRelabelling {};
+
+TEST_P(InterRunDiskRelabelling, SuccessDistributionUnchanged) {
+  ExperimentResult round_robin = Run(disk::RunPlacement::kRoundRobin, DepletionKind::kUniform);
+  ExperimentResult blocked = Run(disk::RunPlacement::kBlocked, DepletionKind::kUniform);
+  EXPECT_LE(KsStatistic(SuccessSamples(round_robin), SuccessSamples(blocked)),
+            KsCritical(kTrials));
+}
+
+// The control: Zipf depletion ranks runs by id, so blocked placement piles
+// the hot runs onto disk 0 while round-robin spreads them. Wherever requests
+// on different disks overlap, the same comparison must then see two
+// different distributions, or it could not see a broken relabelling either.
+// (Synchronized intra-run prefetching has one request in flight at a time,
+// so there the skewed placement costs no measurable time.)
+class SkewedPlacementControl : public DiskRelabelling {};
+
+TEST_P(SkewedPlacementControl, SkewedDepletionBreaksTheRelation) {
+  ExperimentResult round_robin = Run(disk::RunPlacement::kRoundRobin, DepletionKind::kZipf);
+  ExperimentResult blocked = Run(disk::RunPlacement::kBlocked, DepletionKind::kZipf);
+  EXPECT_GT(KsStatistic(TotalMsSamples(round_robin), TotalMsSamples(blocked)),
+            KsCritical(kTrials));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategyDisks, SkewedPlacementControl,
+    ::testing::Combine(::testing::Values(Strategy::kDemandRunOnly, Strategy::kAllDisksOneRun),
+                       ::testing::Values(SyncMode::kUnsynchronized),
+                       ::testing::Values(2, 4, 5)));
+
+INSTANTIATE_TEST_SUITE_P(
+    SyncDisks, InterRunDiskRelabelling,
+    ::testing::Combine(::testing::Values(Strategy::kAllDisksOneRun),
+                       ::testing::Values(SyncMode::kSynchronized, SyncMode::kUnsynchronized),
+                       ::testing::Values(2, 4, 5)));
+
+// Relation 3: with one disk there is no other disk to prefetch from, so
+// inter-run prefetching issues exactly the intra-run fetches. Given the same
+// cache, the two strategies are the same merge.
+using OneDiskPoint = std::tuple<int, SyncMode, AdmissionPolicy>;  // N, sync, admission
+
+class InterEqualsIntraOnOneDisk : public ::testing::TestWithParam<OneDiskPoint> {
+ protected:
+  MergeConfig Config(Strategy strategy) const {
+    auto [n, sync, admission] = GetParam();
+    MergeConfig cfg = MergeConfig::Paper(15, 1, n, strategy, sync);
+    cfg.blocks_per_run = 120;
+    cfg.admission = admission;
+    cfg.cpu_ms_per_block = 1.0;
+    cfg.seed = 700 + 10 * static_cast<uint64_t>(n) + 2 * static_cast<uint64_t>(sync) +
+               static_cast<uint64_t>(admission);
+    return cfg;
+  }
+
+  void ExpectSameMerge(int64_t cache_blocks) const {
+    MergeConfig intra = Config(Strategy::kDemandRunOnly);
+    MergeConfig inter = Config(Strategy::kAllDisksOneRun);
+    intra.cache_blocks = cache_blocks;
+    inter.cache_blocks = cache_blocks;
+    auto intra_result = SimulateMerge(intra);
+    auto inter_result = SimulateMerge(inter);
+    ASSERT_TRUE(intra_result.ok()) << intra_result.status().ToString();
+    ASSERT_TRUE(inter_result.ok()) << inter_result.status().ToString();
+    EXPECT_EQ(ExportedFields(*intra_result), ExportedFields(*inter_result));
+  }
+};
+
+TEST_P(InterEqualsIntraOnOneDisk, SameMergeAtIntraRunCache) {
+  MergeConfig cfg = Config(Strategy::kDemandRunOnly);
+  ExpectSameMerge(cfg.EffectiveCacheBlocks());
+}
+
+TEST_P(InterEqualsIntraOnOneDisk, SameMergeAtStarvedCache) {
+  // Room for one block per run plus one N-block fetch: most wish lists are
+  // cut short, so admission decides what is read.
+  MergeConfig cfg = Config(Strategy::kDemandRunOnly);
+  ExpectSameMerge(cfg.num_runs + cfg.prefetch_depth);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DepthSyncAdmission, InterEqualsIntraOnOneDisk,
+    ::testing::Combine(::testing::Values(1, 4, 10),
+                       ::testing::Values(SyncMode::kSynchronized, SyncMode::kUnsynchronized),
+                       ::testing::Values(AdmissionPolicy::kConservative,
+                                         AdmissionPolicy::kGreedy)));
 
 }  // namespace
 }  // namespace emsim::core

@@ -70,7 +70,7 @@ class RuleFixtureTest(unittest.TestCase):
         self.assertIn("no-unordered-in-export", rules_fired("src/obs/metrics.h", line))
         self.assertIn("no-unordered-in-export", rules_fired("src/core/result_json.cc", line))
         self.assertNotIn("no-unordered-in-export", rules_fired("src/cache/block_cache.cc", line))
-        self.assertNotIn("no-unordered-in-export", rules_fired("src/extsort/tag_sort.h", line))
+        self.assertNotIn("no-unordered-in-export", rules_fired("src/extsort/run_io.h", line))
 
     def test_raw_thread_fires_outside_util(self):
         for line in [

@@ -1,10 +1,8 @@
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "disk/disk_params.h"
 #include "extsort/block_device.h"
 #include "util/status.h"
 
@@ -53,46 +51,6 @@ TEST(MemoryBlockDeviceTest, OverwriteAllowed) {
   std::vector<uint8_t> in(64);
   ASSERT_TRUE(dev.Read(0, in).ok());
   EXPECT_EQ(in, b);
-}
-
-TEST(TimedBlockDeviceTest, AccumulatesSimulatedTime) {
-  disk::DiskParams params;
-  params.rotation = disk::RotationalLatencyModel::kFixedMean;
-  TimedBlockDevice dev(std::make_unique<MemoryBlockDevice>(1000, 4096), params, 1);
-  std::vector<uint8_t> buf(4096, 0);
-  ASSERT_TRUE(dev.Write(520, buf).ok());  // Pre-populate the target block.
-  dev.ResetClock();
-  ASSERT_TRUE(dev.Write(0, buf).ok());
-  double after_write = dev.elapsed_ms();
-  // The arm sits at cylinder 5 after the pre-population write (ResetClock
-  // zeroes the clock, not the position), so this write seeks back 5
-  // cylinders and pays R + T.
-  EXPECT_NEAR(after_write, 0.05 + 8.3333 + 2.5641, 1e-3);
-  ASSERT_TRUE(dev.Read(520, buf).ok());  // Cylinder 5: 0.05 ms seek + R + T.
-  EXPECT_NEAR(dev.elapsed_ms() - after_write, 0.05 + 8.3333 + 2.5641, 1e-3);
-  EXPECT_EQ(dev.reads(), 1u);
-  EXPECT_EQ(dev.writes(), 2u);
-}
-
-TEST(TimedBlockDeviceTest, SequentialOptimizationReducesTime) {
-  disk::DiskParams params;
-  params.rotation = disk::RotationalLatencyModel::kFixedMean;
-  params.sequential_optimization = true;
-  TimedBlockDevice dev(std::make_unique<MemoryBlockDevice>(100, 4096), params, 1);
-  std::vector<uint8_t> buf(4096, 0);
-  ASSERT_TRUE(dev.Write(0, buf).ok());
-  double first = dev.elapsed_ms();
-  ASSERT_TRUE(dev.Write(1, buf).ok());  // Sequential: transfer only.
-  EXPECT_NEAR(dev.elapsed_ms() - first, 2.5641, 1e-3);
-}
-
-TEST(TimedBlockDeviceTest, PropagatesBaseErrors) {
-  disk::DiskParams params;
-  TimedBlockDevice dev(std::make_unique<MemoryBlockDevice>(4, 4096), params, 1);
-  std::vector<uint8_t> buf(4096);
-  double before = dev.elapsed_ms();
-  EXPECT_FALSE(dev.Read(0, buf).ok());      // Unwritten.
-  EXPECT_EQ(dev.elapsed_ms(), before);      // Failed I/O costs nothing.
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "extsort/block_device.h"
-#include "extsort/external_sort.h"
 #include "extsort/merger.h"
 #include "extsort/record.h"
 #include "extsort/run_formation.h"
@@ -33,6 +32,20 @@ std::vector<Record> GenerateRecords(size_t n, KeyDistribution dist, uint64_t see
   return records;
 }
 
+/// Streams a run back through RunReader and checks it yields exactly the
+/// records its descriptor claims.
+std::vector<Record> ReadAll(BlockDevice* device, const RunDescriptor& run) {
+  RunReader reader(device, run);
+  std::vector<Record> records;
+  Record r;
+  while (reader.Next(&r)) {
+    records.push_back(r);
+  }
+  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+  EXPECT_EQ(records.size(), run.num_records);
+  return records;
+}
+
 class ExternalSortCorrectness
     : public ::testing::TestWithParam<std::tuple<KeyDistribution, RunFormationStrategy>> {};
 
@@ -43,27 +56,28 @@ TEST_P(ExternalSortCorrectness, SortsAndConserves) {
 
   MemoryBlockDevice scratch(4096, 256);  // 15 records per block.
   MemoryBlockDevice output(4096, 256);
-  ExternalSortOptions options;
-  options.run_formation.memory_records = 300;
-  options.run_formation.strategy = strategy;
-  ExternalSorter sorter(options);
-  auto result = sorter.Sort(input, &scratch, &output);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  RunFormationOptions options;
+  options.memory_records = 300;
+  options.strategy = strategy;
+  auto runs = FormRuns(input, &scratch, options);
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  auto merged = MergeRuns(&scratch, runs->runs, &output);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->records_merged, n);
 
   // Output is the input, sorted.
-  auto sorted = ExternalSorter::ReadRun(&output, result->merge.output);
-  ASSERT_TRUE(sorted.ok());
+  std::vector<Record> sorted = ReadAll(&output, merged->output);
   std::vector<Record> expect = input;
   std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(*sorted, expect);
+  EXPECT_EQ(sorted, expect);
 
   // Depletion trace is consistent with the run lengths.
   std::vector<int64_t> lengths;
-  for (const auto& run : result->initial_runs) {
+  for (const auto& run : runs->runs) {
     lengths.push_back(run.num_blocks);
   }
-  std::vector<int64_t> counts(result->initial_runs.size(), 0);
-  for (int r : result->merge.depletion_trace) {
+  std::vector<int64_t> counts(runs->runs.size(), 0);
+  for (int r : merged->depletion_trace) {
     ASSERT_GE(r, 0);
     ASSERT_LT(r, static_cast<int>(counts.size()));
     ++counts[static_cast<size_t>(r)];
@@ -91,9 +105,7 @@ TEST(RunFormationTest, LoadSortRunCountAndSizes) {
   uint64_t total = 0;
   for (const auto& run : result->runs) {
     total += run.num_records;
-    auto records = ExternalSorter::ReadRun(&dev, run);
-    ASSERT_TRUE(records.ok());
-    EXPECT_TRUE(IsSorted(*records));
+    EXPECT_TRUE(IsSorted(ReadAll(&dev, run)));
   }
   EXPECT_EQ(total, 1000u);
   // Runs are laid out contiguously.
@@ -173,8 +185,7 @@ TEST(MergeRunsTest, DetectsCorruptRunOrdering) {
   lying.num_blocks = 2;
   lying.num_records = 2;
   MemoryBlockDevice out(64, 256);
-  KWayMergeOptions options;
-  auto outcome = MergeRuns(&dev, {lying}, &out, options);
+  auto outcome = MergeRuns(&dev, {lying}, &out);
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kCorruption);
 }

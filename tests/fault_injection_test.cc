@@ -1,21 +1,19 @@
 // Failure injection: disk errors must surface as Status at the library
-// boundary — no aborts, no corrupted success results — from every layer of
-// the external sorter.
+// boundary — no aborts, no corrupted success results — from run formation,
+// run I/O and the merge.
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "extsort/block_device.h"
-#include "extsort/external_sort.h"
 #include "extsort/merger.h"
-#include "extsort/packed_sort.h"
 #include "extsort/record.h"
 #include "extsort/run_formation.h"
-#include "extsort/tag_sort.h"
+#include "extsort/run_io.h"
 #include "util/status.h"
 #include "workload/record_generator.h"
 
@@ -94,7 +92,7 @@ TEST(FaultInjectionTest, MergeReadFailureSurfaces) {
     ASSERT_TRUE(flaky->Write(b, buf).ok());
   }
   MemoryBlockDevice output(512, 256);
-  auto outcome = MergeRuns(flaky.get(), runs->runs, &output, KWayMergeOptions{});
+  auto outcome = MergeRuns(flaky.get(), runs->runs, &output);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kIoError);
 }
@@ -115,66 +113,14 @@ TEST(FaultInjectionTest, ReadRunPropagatesError) {
     ASSERT_TRUE(scratch->Read(b, buf).ok());
     ASSERT_TRUE(flaky->Write(b, buf).ok());
   }
-  auto records = ExternalSorter::ReadRun(flaky.get(), runs->runs.front());
-  ASSERT_FALSE(records.ok());
-  EXPECT_EQ(records.status().code(), StatusCode::kIoError);
-}
-
-TEST(FaultInjectionTest, TagSortPermuteReadFailureSurfaces) {
-  const size_t count = 300;
-  const size_t record_bytes = 32;
-  FaultyBlockDevice::Options opt;
-  auto input = Faulty(256, opt);
-  PackedRecordFile file(input.get(), record_bytes);
-  std::vector<uint8_t> bytes(count * record_bytes, 0);
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t key = i * 2654435761U;
-    std::memcpy(bytes.data() + i * record_bytes, &key, 8);
+  RunReader reader(flaky.get(), runs->runs.front());
+  Record r;
+  uint64_t returned = 0;
+  while (reader.Next(&r)) {
+    ++returned;
   }
-  ASSERT_TRUE(file.WriteAll(bytes, count).ok());
-
-  // Fail a read late enough to be in the permute phase (the key scan reads
-  // ceil(300/8)=38 blocks first).
-  FaultyBlockDevice::Options late;
-  late.fail_nth_read = 60;
-  auto flaky = Faulty(256, late);
-  std::vector<uint8_t> buf(256);
-  for (int64_t b = 0; b < file.BlocksFor(count); ++b) {
-    ASSERT_TRUE(input->Read(b, buf).ok());
-    ASSERT_TRUE(flaky->Write(b, buf).ok());
-  }
-  MemoryBlockDevice tag_scratch(256, 256);
-  MemoryBlockDevice output(256, 256);
-  TagSortOptions options;
-  options.record_bytes = record_bytes;
-  auto stats = TagSorter(options).Sort(flaky.get(), count, &tag_scratch, &output);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
-}
-
-TEST(FaultInjectionTest, PackedSortFailureSurfaces) {
-  const size_t count = 400;
-  FaultyBlockDevice::Options opt;
-  auto input = Faulty(256, opt);
-  PackedRecordFile file(input.get(), 32);
-  std::vector<uint8_t> bytes(count * 32, 7);
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t key = count - i;
-    std::memcpy(bytes.data() + i * 32, &key, 8);
-  }
-  ASSERT_TRUE(file.WriteAll(bytes, count).ok());
-
-  FaultyBlockDevice::Options scratch_fault;
-  scratch_fault.fail_nth_write = 10;
-  auto scratch = Faulty(256, scratch_fault);
-  MemoryBlockDevice output(256, 256);
-  PackedSortOptions options;
-  options.record_bytes = 32;
-  options.memory_records = 50;
-  auto stats =
-      PackedExternalSorter(options).Sort(input.get(), count, scratch.get(), &output);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
+  EXPECT_LT(returned, runs->runs.front().num_records);
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
 }
 
 TEST(FaultInjectionTest, ZeroRateInjectsNothing) {
@@ -185,7 +131,7 @@ TEST(FaultInjectionTest, ZeroRateInjectsNothing) {
   rf.memory_records = 100;
   auto runs = FormRuns(input, scratch.get(), rf);
   ASSERT_TRUE(runs.ok());
-  auto outcome = MergeRuns(scratch.get(), runs->runs, &output, KWayMergeOptions{});
+  auto outcome = MergeRuns(scratch.get(), runs->runs, &output);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(scratch->injected_read_failures(), 0u);
   EXPECT_EQ(scratch->injected_write_failures(), 0u);
