@@ -6,8 +6,10 @@
 // from the stochastic model to genuine merges.
 
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -19,6 +21,7 @@
 #include "extsort/run_formation.h"
 #include "stats/table.h"
 #include "util/check.h"
+#include "util/str.h"
 #include "workload/record_generator.h"
 
 namespace emsim {
@@ -74,6 +77,17 @@ double TimeTrace(const TraceBundle& bundle, Strategy strategy, int n, int64_t ca
   return result->total_ms / 1e3;
 }
 
+// "25 runs of 157 blocks", or a block range when the runs are unequal.
+std::string RunGeometry(const TraceBundle& bundle) {
+  auto [shortest, longest] =
+      std::minmax_element(bundle.run_blocks.begin(), bundle.run_blocks.end());
+  if (*shortest == *longest) {
+    return StrFormat("%zu runs of %lld blocks", bundle.runs, static_cast<long long>(*shortest));
+  }
+  return StrFormat("%zu runs of %lld-%lld blocks", bundle.runs,
+                   static_cast<long long>(*shortest), static_cast<long long>(*longest));
+}
+
 const char* DistName(KeyDistribution dist) {
   switch (dist) {
     case KeyDistribution::kUniform:
@@ -93,13 +107,21 @@ const char* DistName(KeyDistribution dist) {
 
 int main() {
   using namespace emsim;
+  auto ls = BuildTrace(workload::KeyDistribution::kUniform,
+                       extsort::RunFormationStrategy::kLoadSort);
+  auto rs = BuildTrace(workload::KeyDistribution::kUniform,
+                       extsort::RunFormationStrategy::kReplacementSelection);
   bench::Banner(
       "Extension X-SORT: real external sort -> trace-driven timing",
       "1M 16-byte records, load-sort runs (40k records each, 25 runs), real\n"
       "k-way merge depletion traces timed on 5 disks at N in {1,10}. Expected\n"
       "shape: All Disks One Run beats Demand Run Only on real traces too;\n"
       "nearly-sorted input (disjoint ranges -> sequential depletion) is the\n"
-      "stress case for inter-run prefetching.");
+      "stress case for inter-run prefetching.",
+      StrFormat("real runs (uniform keys):\n"
+                "load-sort %s, replacement selection %s\n"
+                "one SimulateMerge per cell at seed 1 (single trials, no means or CIs)",
+                RunGeometry(ls).c_str(), RunGeometry(rs).c_str()));
 
   // Fair comparison at equal memory: both strategies get the same cache
   // (1000 blocks, ~1/4 of the ~3925-block dataset).
@@ -121,10 +143,6 @@ int main() {
                    table);
 
   // Replacement selection: fewer, longer, unequal runs.
-  auto rs = BuildTrace(workload::KeyDistribution::kUniform,
-                       extsort::RunFormationStrategy::kReplacementSelection);
-  auto ls = BuildTrace(workload::KeyDistribution::kUniform,
-                       extsort::RunFormationStrategy::kLoadSort);
   Table table2({"run formation", "runs", "DRO N=10 (s)", "ADOR N=10 (s)"});
   table2.AddRow({"load-sort", Table::Cell(static_cast<double>(ls.runs), 0),
                  Table::Cell(TimeTrace(ls, core::Strategy::kDemandRunOnly, 10, kCache)),

@@ -138,11 +138,17 @@ void WriteJsonArtifact(const std::string& bench_name) {
 }
 
 void Banner(const std::string& experiment_id, const std::string& what) {
+  Banner(experiment_id, what,
+         StrFormat("1000 blocks/run\ntrials per point: %d (mean reported, ±95%% CI where shown)",
+                   Trials()));
+}
+
+void Banner(const std::string& experiment_id, const std::string& what,
+            const std::string& geometry) {
   std::printf("==============================================================\n");
   std::printf("emsim reproduction | %s\n", experiment_id.c_str());
   std::printf("%s\n", what.c_str());
-  std::printf("disk: S=0.01 ms/cyl, R=8.33 ms, T=2.5641 ms/block, 1000 blocks/run\n");
-  std::printf("trials per point: %d (mean reported, ±95%% CI where shown)\n", Trials());
+  std::printf("disk: S=0.01 ms/cyl, R=8.33 ms, T=2.5641 ms/block, %s\n", geometry.c_str());
   std::printf("==============================================================\n\n");
 }
 

@@ -52,8 +52,14 @@ void EmitTable(const std::string& title, const stats::Table& table,
 /// EMSIM_BENCH_JSON=0 to disable. Call once at the end of main.
 void WriteJsonArtifact(const std::string& bench_name);
 
-/// Standard banner for a bench binary.
+/// Standard banner for a bench binary: the paper's 1000-block runs and
+/// Trials() trials per point.
 void Banner(const std::string& experiment_id, const std::string& what);
+
+/// Banner for a bench whose runs and trials differ from the paper grid;
+/// `geometry` follows the disk parameters and says what they are.
+void Banner(const std::string& experiment_id, const std::string& what,
+            const std::string& geometry);
 
 /// Formats "x.xx ±y.yy" seconds from an experiment aggregate.
 std::string TimeCell(const core::ExperimentResult& result);

@@ -72,10 +72,6 @@ RunReader::RunReader(BlockDevice* device, const RunDescriptor& run, int buffer_b
   EMSIM_CHECK(buffer_blocks >= 1);
 }
 
-bool RunReader::NeedsIo() const {
-  return buffer_pos_ >= buffer_.size() && next_block_ < run_.num_blocks;
-}
-
 void RunReader::Refill() {
   buffer_.clear();
   buffered_block_ends_.clear();

@@ -68,9 +68,6 @@ class RunReader {
   /// Blocks whose records have all been returned.
   int64_t blocks_depleted() const { return blocks_depleted_; }
 
-  /// True when a call to Next would touch a block not yet buffered.
-  bool NeedsIo() const;
-
   const RunDescriptor& run() const { return run_; }
 
  private:

@@ -254,107 +254,6 @@ class ArtifactRawWriteTest(unittest.TestCase):
         self.assertEqual(["artifact-raw-write"], [s["rule"] for s in suppressions])
 
 
-class CoroRefCaptureTest(unittest.TestCase):
-    def test_by_reference_capture_fires(self):
-        text = ("auto p = [&log](int v) -> Process {\n"
-                "  co_await Delay(1.0);\n"
-                "  log.push_back(v);\n"
-                "};\n")
-        self.assertIn("coro-ref-capture", rules_fired("src/x.cc", text))
-
-    def test_ref_param_used_after_suspend_fires(self):
-        text = ("auto p = [](std::vector<int>& log, int v) -> Process {\n"
-                "  co_await Delay(1.0);\n"
-                "  log.push_back(v);\n"
-                "};\n")
-        self.assertIn("coro-ref-capture", rules_fired("src/x.cc", text))
-
-    def test_copy_capture_is_clean(self):
-        text = ("auto p = [log](int v) mutable -> Process {\n"
-                "  co_await Delay(1.0);\n"
-                "  log.push_back(v);\n"
-                "};\n")
-        self.assertEqual(set(), rules_fired("src/x.cc", text))
-
-    def test_ref_param_used_only_before_suspend_is_clean(self):
-        text = ("auto p = [](std::vector<int>& log) -> Process {\n"
-                "  log.push_back(1);\n"
-                "  co_await Delay(1.0);\n"
-                "};\n")
-        self.assertEqual(set(), rules_fired("src/x.cc", text))
-
-    def test_named_coroutine_with_ref_params_is_clean(self):
-        # The sanctioned pattern: the caller owns the referents for the run.
-        text = ("Process Push(Simulation& sim, std::vector<int>& log, int v) {\n"
-                "  co_await Delay(0.0);\n"
-                "  log.push_back(v);\n"
-                "}\n")
-        self.assertEqual(set(), rules_fired("src/x.cc", text))
-
-    def test_non_coroutine_lambda_with_ref_capture_is_clean(self):
-        text = ("co_await Delay(1.0);\n"
-                "auto cmp = [&order](int a, int b) { return order[a] < order[b]; };\n")
-        self.assertNotIn("coro-ref-capture", rules_fired("src/x.cc", text))
-
-    def test_allow_directive_suppresses(self):
-        text = ("auto p = [&log]() -> Process {  // emsim-lint: allow(coro-ref-capture)\n"
-                "  co_await Delay(1.0);\n"
-                "  log.push_back(1);\n"
-                "};\n")
-        findings, suppressions = emsim_lint.lint_text("src/x.cc", text)
-        self.assertEqual([], findings)
-        self.assertEqual(["coro-ref-capture"], [s["rule"] for s in suppressions])
-
-
-class CoroRawHandleTest(unittest.TestCase):
-    LINE = "std::coroutine_handle<> h = std::coroutine_handle<>::from_address(p);\n"
-
-    def test_fires_outside_the_sim_kernel(self):
-        self.assertIn("coro-raw-handle", rules_fired("src/disk/x.cc", self.LINE))
-        self.assertIn("coro-raw-handle", rules_fired("tests/x.cc", self.LINE))
-
-    def test_fires_even_in_a_non_coroutine_tu(self):
-        # Storing someone else's handle is the hazard; the storer need not
-        # itself be a coroutine.
-        self.assertIn("coro-raw-handle",
-                      rules_fired("src/io/x.cc", "std::coroutine_handle<> saved;\n"))
-
-    def test_clean_inside_the_sim_kernel(self):
-        self.assertNotIn("coro-raw-handle",
-                         rules_fired("src/sim/process.h", self.LINE))
-
-    def test_allow_directive_suppresses(self):
-        text = ("std::coroutine_handle<> h;  "
-                "// emsim-lint: allow(coro-raw-handle)\n")
-        findings, suppressions = emsim_lint.lint_text("src/disk/x.cc", text)
-        self.assertEqual([], findings)
-        self.assertEqual(["coro-raw-handle"], [s["rule"] for s in suppressions])
-
-
-class NoBlockingInSimTest(unittest.TestCase):
-    def test_blocking_primitives_fire_in_a_coroutine_tu(self):
-        for line in [
-            "std::this_thread::sleep_for(std::chrono::seconds(1));",
-            "std::mutex mu;",
-            "std::lock_guard<std::mutex> lock(mu);",
-            "std::condition_variable cv;",
-        ]:
-            text = "co_await Delay(1.0);\n" + line + "\n"
-            self.assertIn("no-blocking-in-sim", rules_fired("src/x.cc", text), line)
-
-    def test_blocking_in_a_non_coroutine_tu_is_out_of_scope(self):
-        # Host-thread code (thread pool, trial runner) may block; the rule
-        # only polices TUs that contain coroutine code.
-        self.assertEqual(set(), rules_fired("src/x.cc", "std::mutex mu;\n"))
-
-    def test_allow_directive_suppresses(self):
-        text = ("co_await Delay(1.0);\n"
-                "std::mutex mu;  // emsim-lint: allow(no-blocking-in-sim)\n")
-        findings, suppressions = emsim_lint.lint_text("src/x.cc", text)
-        self.assertEqual([], findings)
-        self.assertEqual(["no-blocking-in-sim"], [s["rule"] for s in suppressions])
-
-
 class IncludeGuardTest(unittest.TestCase):
     def test_expected_guard_derivation(self):
         self.assertEqual("EMSIM_UTIL_CHECK_H_", emsim_lint.expected_guard("src/util/check.h"))
@@ -406,79 +305,6 @@ class FullTreeTest(unittest.TestCase):
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             self.assertEqual(1, proc.returncode, proc.stdout)
             self.assertIn("no-libc-rand", proc.stdout)
-
-
-class LintCacheTest(unittest.TestCase):
-    """The per-file result cache shared by emsim_lint and include_hygiene
-    (lint_cache.py): warm runs hit, content edits miss exactly the edited
-    file, and include_hygiene's environment digest invalidates everything
-    when a header changes."""
-
-    def run_tool(self, module_name, root, cache_dir):
-        timing = Path(root) / f"{module_name}-timing.json"
-        proc = subprocess.run(
-            [sys.executable,
-             str(REPO_ROOT / "tools" / "lint" / f"{module_name}.py"),
-             "--root", str(root), "--cache-dir", str(cache_dir),
-             "--timing-report", str(timing)],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        return proc, json.loads(timing.read_text(encoding="utf-8"))
-
-    def test_emsim_lint_cache_hits_and_invalidates_per_file(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            src = Path(tmp) / "src"
-            src.mkdir()
-            (src / "a.cc").write_text("int A() { return 1; }\n")
-            (src / "b.cc").write_text("int B() { return 2; }\n")
-            cache = Path(tmp) / "cache"
-            _, timing = self.run_tool("emsim_lint", tmp, cache)
-            self.assertEqual(timing["cache"]["misses"], 2)
-            _, timing = self.run_tool("emsim_lint", tmp, cache)
-            self.assertEqual(timing["cache"]["hits"], 2)
-            (src / "a.cc").write_text("int A() { return 3; }\n")
-            _, timing = self.run_tool("emsim_lint", tmp, cache)
-            self.assertEqual(timing["cache"]["misses"], 1)
-            missed = [f["file"] for f in timing["files"] if not f["cached"]]
-            self.assertEqual(missed, ["src/a.cc"])
-
-    def test_cached_findings_still_fail_the_run(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            src = Path(tmp) / "src"
-            src.mkdir()
-            (src / "dirty.cc").write_text("int r = rand();\n")
-            cache = Path(tmp) / "cache"
-            proc, _ = self.run_tool("emsim_lint", tmp, cache)
-            self.assertEqual(proc.returncode, 1)
-            proc, timing = self.run_tool("emsim_lint", tmp, cache)
-            self.assertEqual(proc.returncode, 1, proc.stdout)
-            self.assertEqual(timing["cache"]["hits"], 1)
-            self.assertIn("no-libc-rand", proc.stdout)
-
-    def test_include_hygiene_header_edit_invalidates_everything(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            src = Path(tmp) / "src"
-            src.mkdir()
-            (src / "util.h").write_text(
-                "#ifndef EMSIM_SRC_UTIL_H_\n#define EMSIM_SRC_UTIL_H_\n"
-                "inline int Util() { return 1; }\n#endif\n")
-            (src / "a.cc").write_text(
-                '#include "util.h"\nint A() { return Util(); }\n')
-            (src / "b.cc").write_text("int B() { return 2; }\n")
-            cache = Path(tmp) / "cache"
-            self.run_tool("include_hygiene", tmp, cache)
-            _, timing = self.run_tool("include_hygiene", tmp, cache)
-            self.assertEqual(timing["cache"]["hits"], 3)
-            # .cc edit: only that file re-checks.
-            (src / "b.cc").write_text("int B() { return 4; }\n")
-            _, timing = self.run_tool("include_hygiene", tmp, cache)
-            self.assertEqual(timing["cache"]["misses"], 1)
-            # Header edit: the exports environment changed — full re-check.
-            (src / "util.h").write_text(
-                "#ifndef EMSIM_SRC_UTIL_H_\n#define EMSIM_SRC_UTIL_H_\n"
-                "inline int Util() { return 1; }\n"
-                "inline int Util2() { return 2; }\n#endif\n")
-            _, timing = self.run_tool("include_hygiene", tmp, cache)
-            self.assertEqual(timing["cache"]["misses"], 3)
 
 
 if __name__ == "__main__":

@@ -104,6 +104,31 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual("Thing", missing[0]["what"])
         self.assertEqual(["src/util/thing.h"], missing[0]["candidates"])
 
+    def test_missing_direct_include_ignores_member_access_and_longer_names(self):
+        # `Thing` reaches a.cc only through wrap.h. Member access and
+        # identifiers that merely contain the name are not uses of it; a
+        # qualified use is.
+        files = {
+            "src/util/thing.h": THING_H,
+            "src/util/wrap.h": ("#ifndef EMSIM_UTIL_WRAP_H_\n"
+                                "#define EMSIM_UTIL_WRAP_H_\n"
+                                '#include "util/thing.h"\n'
+                                "struct Wrap { int Thing; };\n"
+                                "#endif\n"),
+            "src/a.cc": ('#include "util/wrap.h"\n\n'
+                         "int Use(Wrap& obj, Wrap* p) {\n"
+                         "  return obj.Thing + p->Thing + ThingLonger +\n"
+                         "         Prefix_Thing;\n"
+                         "}\n"),
+        }
+        findings, _ = run_tree(files)
+        self.assertEqual([], findings)
+        files["src/a.cc"] += "ns::Thing Make();\n"
+        findings, _ = run_tree(files)
+        self.assertEqual([("missing-direct-include", "src/a.cc", 7, "Thing")],
+                         [(f["kind"], f["path"], f["line"], f["what"])
+                          for f in findings])
+
     def test_missing_direct_include_for_std_symbol(self):
         findings, _ = run_tree(
             {"src/a.cc": "int N(const std::vector<int>& v) { return (int)v.size(); }\n"})
@@ -160,14 +185,13 @@ class FixtureTest(unittest.TestCase):
 
 class FullTreeTest(unittest.TestCase):
     def test_repository_is_clean(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            proc = subprocess.run(
-                [sys.executable,
-                 str(REPO_ROOT / "tools" / "lint" / "include_hygiene.py"),
-                 "--root", str(REPO_ROOT), "--cache-dir", tmp],
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-            self.assertEqual(0, proc.returncode, proc.stdout)
-            self.assertIn(" 0 finding(s), 0 suppression(s)", proc.stdout)
+        proc = subprocess.run(
+            [sys.executable,
+             str(REPO_ROOT / "tools" / "lint" / "include_hygiene.py"),
+             "--root", str(REPO_ROOT)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        self.assertEqual(0, proc.returncode, proc.stdout)
+        self.assertIn(" 0 finding(s), 0 suppression(s)", proc.stdout)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ docs/SWEEPS.md:
 
   * SIGKILL the driver while shards are in flight (at a seeded, randomized
     moment), then --sweep-resume: the merged JSON is byte-identical to an
-    uninterrupted run and the journal records the resumed completion;
+    uninterrupted run and the journal records the resumed completion. This
+    runs on a synthetic spec and on tools/sweep/specs/paper_smoke.ini; set
+    EMSIM_CHAOS_SEED to replay a logged kill point;
   * a corrupted surviving artifact (truncation or bit flip) is detected on
     resume, quarantined as *.corrupt, re-executed, and the output is still
     byte-identical;
@@ -30,6 +32,9 @@ import time
 import unittest
 
 CLI = None
+SMOKE_SPEC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tools", "sweep", "specs", "paper_smoke.ini")
 
 SPEC = """\
 trials = 3
@@ -96,12 +101,13 @@ class SweepResumeTest(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def reference_json(self):
-        return run_cli(["--spec", self.spec, "--json", "-"], cwd=self.dir).stdout
+    def reference_json(self, spec=None):
+        return run_cli(["--spec", spec or self.spec, "--json", "-"],
+                       cwd=self.dir).stdout
 
-    def sweep_args(self, run_dir, extra=None):
+    def sweep_args(self, run_dir, extra=None, spec=None):
         args = [
-            "--spec", self.spec,
+            "--spec", spec or self.spec,
             "--sweep", "4",
             "--sweep-workers", "1",
             "--shard-dir", run_dir,
@@ -109,23 +115,29 @@ class SweepResumeTest(unittest.TestCase):
         ]
         return args + (extra or [])
 
-    def resume_args(self, run_dir, extra=None):
-        args = ["--spec", self.spec, "--sweep-resume", run_dir, "--json", "-"]
+    def resume_args(self, run_dir, extra=None, spec=None):
+        args = ["--spec", spec or self.spec, "--sweep-resume", run_dir,
+                "--json", "-"]
         return args + (extra or [])
 
     def test_sigkill_midway_then_resume_is_byte_identical(self):
-        want = self.reference_json()
         seed = int(os.environ.get("EMSIM_CHAOS_SEED", "0")) or int(time.time())
         rng = random.Random(seed)
         print(f"[chaos] seed={seed}", file=sys.stderr)
-        run_dir = os.path.join(self.dir, "run_sigkill")
-        # Launch the driver, SIGKILL it once the journal shows the first
-        # shard_done (a randomized extra delay varies the kill point).
+        for name, spec in (("synthetic", self.spec), ("paper_smoke", SMOKE_SPEC)):
+            with self.subTest(spec=name):
+                self.sigkill_then_resume(
+                    spec, os.path.join(self.dir, f"run_sigkill_{name}"), rng)
+
+    def sigkill_then_resume(self, spec, run_dir, rng):
+        want = self.reference_json(spec)
+        # Launch the driver, SIGKILL it once the journal shows a randomized
+        # number of shard_done records (1 to 3 of the 4 shards).
         proc = subprocess.Popen(
-            [CLI] + self.sweep_args(run_dir),
+            [CLI] + self.sweep_args(run_dir, spec=spec),
             cwd=self.dir,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
         journal = os.path.join(run_dir, "journal.jsonl")
         deadline = time.time() + 120
@@ -148,7 +160,7 @@ class SweepResumeTest(unittest.TestCase):
             print("[chaos] driver finished before the kill", file=sys.stderr)
         self.assertTrue(os.path.exists(journal), "journal must survive the kill")
 
-        resumed = run_cli(self.resume_args(run_dir), cwd=self.dir)
+        resumed = run_cli(self.resume_args(run_dir, spec=spec), cwd=self.dir)
         self.assertEqual(resumed.stdout, want, "resumed JSON differs from reference")
         kinds = journal_kinds(run_dir)
         self.assertEqual(kinds[0], "run_start")

@@ -44,25 +44,8 @@ source of run-to-run nondeterminism at the source level:
                        the results it writes. std::thread::hardware_concurrency
                        (a pure query) is fine.
 
-Coroutine-safety rules, scoped to coroutine translation units (a file that
-contains co_await / co_return). The hot path runs on pooled C++20 coroutine
-frames, where lifetime bugs corrupt results silently instead of crashing:
-
-  coro-ref-capture     a lambda coroutine that captures by reference, or
-                       reads a reference parameter after a co_await in the
-                       same body — the frame outlives the enclosing scope,
-                       so the reference dangles at resume time. Named
-                       coroutines (spawned immediately, caller keeps the
-                       referents alive across sim.Run()) are the sanctioned
-                       pattern and are not flagged.
-  coro-raw-handle      std::coroutine_handle stored or manipulated outside
-                       src/sim/ — raw handles escaping the frame-pool /
-                       calendar machinery defeat its ownership bookkeeping
-                       (double-destroy, resume-after-free).
-  no-blocking-in-sim   std::this_thread::sleep_* or a bare std::mutex family
-                       primitive inside a coroutine TU — simulated time must
-                       come from the calendar (sim::Delay), never from the
-                       host clock or scheduler.
+The coroutine-safety rules (coro-ref-capture, coro-raw-handle,
+no-blocking-in-sim) live in emsim_analyze.py, which checks them on tokens.
 
 A finding can be suppressed for one line with a trailing
 `// emsim-lint: allow(<rule-id>)` comment; `allow(rule-a, rule-b)` lists and
@@ -72,12 +55,6 @@ stay auditable.
 
 Usage:
   tools/lint/emsim_lint.py --root . [--report lint-report.json] [--list-rules]
-      [--cache-dir DIR] [--no-cache] [--stats] [--timing-report out.json]
-
-Results are cached per file (content-hash over the file bytes plus this
-tool's own source, so rule edits invalidate everything) — repeat runs only
-re-lint files that changed since the last run. `--stats`/`--timing-report`
-expose the same timing/cache shape as run_clang_tidy.py.
 
 Exit status: 0 when clean, 1 when any finding, 2 on usage error.
 """
@@ -88,11 +65,7 @@ import argparse
 import json
 import re
 import sys
-import time
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import lint_cache  # noqa: E402
 
 # Directories scanned relative to --root. Headers and sources only.
 SCAN_DIRS = ("src", "tools", "bench", "tests", "examples")
@@ -296,117 +269,6 @@ def _artifact_raw_write_findings(relpath, code_lines):
     return findings, suppressions
 
 
-# --- Coroutine-safety rules -------------------------------------------------
-#
-# Scoped to coroutine translation units: a file whose stripped code contains
-# co_await or co_return. The scans below work on the joined stripped text so
-# a lambda body can be brace-matched across lines.
-
-CORO_TOKEN_RE = re.compile(r"\bco_(?:await|return)\b")
-# Lambda introducer: capture list, optional params, optional specifiers and
-# trailing return type, then the body's opening brace. [[attributes]] do not
-# match (the inner bracket pair is followed by `]`, never by `(` or `{`).
-LAMBDA_RE = re.compile(
-    r"\[(?P<captures>[^\[\]]*)\]\s*(?:\((?P<params>[^()]*)\))?\s*"
-    r"(?:mutable\b\s*)?(?:noexcept\b\s*)?(?:->\s*[\w:<>&*\s]{1,80}?)?\{")
-REF_PARAM_NAME_RE = re.compile(r"&&?\s*(\w+)\s*(?:,|$|\))")
-
-CORO_REF_CAPTURE_MESSAGE = (
-    "lambda coroutine with a by-reference capture or a reference parameter "
-    "read after co_await: the coroutine frame outlives the enclosing scope, "
-    "so the reference dangles at resume time; pass by value or use a named "
-    "coroutine whose caller owns the referents across the run")
-CORO_RAW_HANDLE_MESSAGE = (
-    "std::coroutine_handle outside src/sim/: raw handles escaping the frame-"
-    "pool/calendar machinery defeat its ownership bookkeeping (double-destroy, "
-    "resume-after-free); communicate through sim Events and Signals")
-NO_BLOCKING_IN_SIM_MESSAGE = (
-    "blocking primitive in a coroutine translation unit: simulated time must "
-    "come from the calendar (co_await sim::Delay), never from the host "
-    "scheduler; use sim synchronization objects instead of OS ones")
-
-BLOCKING_RE = re.compile(
-    r"std::this_thread::sleep_(?:for|until)"
-    r"|std::(?:timed_|recursive_)*mutex\b"
-    r"|std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
-    r"|std::condition_variable\w*\b")
-
-
-def _match_brace(text: str, open_idx: int) -> int:
-    """Index one past the brace matching text[open_idx] (or len(text))."""
-    depth = 0
-    for idx in range(open_idx, len(text)):
-        ch = text[idx]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return idx + 1
-    return len(text)
-
-
-def _coroutine_findings(relpath, code_lines):
-    """code_lines: list of (lineno, stripped_code, raw, allowed_rules).
-    Returns (findings, suppressions) for the three coroutine-safety rules."""
-    findings = []
-    suppressions = []
-
-    def emit(rule, message, idx):
-        lineno, _, raw, allowed = code_lines[idx]
-        entry = {
-            "rule": rule,
-            "path": relpath,
-            "line": lineno,
-            "message": message,
-            "snippet": raw.strip()[:160],
-        }
-        (suppressions if rule in allowed else findings).append(entry)
-
-    text = "\n".join(code for _, code, _, _ in code_lines)
-    is_coro_tu = bool(CORO_TOKEN_RE.search(text))
-
-    # coro-raw-handle: everywhere except the sim kernel itself (per line, so
-    # it also catches handle uses in files that are not yet coroutine TUs).
-    if not relpath.startswith("src/sim/"):
-        for idx, (_, code, _, _) in enumerate(code_lines):
-            if re.search(r"\bcoroutine_handle\b", code):
-                emit("coro-raw-handle", CORO_RAW_HANDLE_MESSAGE, idx)
-
-    if not is_coro_tu:
-        return findings, suppressions
-
-    # no-blocking-in-sim
-    for idx, (_, code, _, _) in enumerate(code_lines):
-        if BLOCKING_RE.search(code):
-            emit("no-blocking-in-sim", NO_BLOCKING_IN_SIM_MESSAGE, idx)
-
-    # coro-ref-capture: lambdas whose body suspends.
-    for m in LAMBDA_RE.finditer(text):
-        open_idx = text.index("{", m.end() - 1)
-        body = text[open_idx:_match_brace(text, open_idx)]
-        if not CORO_TOKEN_RE.search(body):
-            continue
-        intro_idx = text[: m.start()].count("\n")
-        captures = m.group("captures") or ""
-        if "&" in captures:
-            emit("coro-ref-capture", CORO_REF_CAPTURE_MESSAGE, intro_idx)
-            continue
-        params = m.group("params") or ""
-        ref_names = REF_PARAM_NAME_RE.findall(params)
-        if not ref_names:
-            continue
-        first_suspend = CORO_TOKEN_RE.search(body)
-        after = body[first_suspend.end():]
-        use_re = re.compile(
-            r"(?<![\w.])(?<!->)(?:" +
-            "|".join(re.escape(n) for n in ref_names) + r")\b")
-        if use_re.search(after):
-            emit("coro-ref-capture", CORO_REF_CAPTURE_MESSAGE, intro_idx)
-
-    return findings, suppressions
-
-
 def expected_guard(relpath: str) -> str:
     """src/util/check.h -> EMSIM_UTIL_CHECK_H_; bench/bench_util.h ->
     EMSIM_BENCH_BENCH_UTIL_H_. The leading src/ is dropped (library headers
@@ -475,9 +337,6 @@ def lint_text(relpath: str, text: str):
     raw_write, raw_write_suppressed = _artifact_raw_write_findings(relpath, code_lines)
     findings.extend(raw_write)
     suppressions.extend(raw_write_suppressed)
-    coro, coro_suppressed = _coroutine_findings(relpath, code_lines)
-    findings.extend(coro)
-    suppressions.extend(coro_suppressed)
     if relpath.endswith((".h", ".hpp")):
         want = expected_guard(relpath)
         guard_re = re.compile(r"^#ifndef\s+(\S+)\s*$", re.MULTILINE)
@@ -510,7 +369,6 @@ def main(argv):
     parser.add_argument("--root", default=".", help="repository root to scan")
     parser.add_argument("--report", help="write a machine-readable JSON findings report")
     parser.add_argument("--list-rules", action="store_true", help="print rule ids and exit")
-    lint_cache.add_cache_args(parser, "emsim-lint")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -519,9 +377,6 @@ def main(argv):
         print(f"result-unchecked: {RESULT_UNCHECKED_MESSAGE}")
         print(f"artifact-raw-write: {ARTIFACT_RAW_WRITE_MESSAGE}")
         print("include-guard: headers must guard with EMSIM_<PATH>_H_")
-        print(f"coro-ref-capture: {CORO_REF_CAPTURE_MESSAGE}")
-        print(f"coro-raw-handle: {CORO_RAW_HANDLE_MESSAGE}")
-        print(f"no-blocking-in-sim: {NO_BLOCKING_IN_SIM_MESSAGE}")
         return 0
 
     root = Path(args.root).resolve()
@@ -529,28 +384,16 @@ def main(argv):
         print(f"emsim_lint: no such directory: {root}", file=sys.stderr)
         return 2
 
-    cache = lint_cache.FileCache(
-        lint_cache.resolve_cache_dir(args, root, "emsim-lint"),
-        lint_cache.digest_paths(__file__))
     findings = []
     suppressions = []
     scanned = 0
     for path in iter_sources(root):
         relpath = path.relative_to(root).as_posix()
         text = path.read_text(encoding="utf-8", errors="replace")
-        file_started = time.monotonic()
-        cached = cache.get(relpath, text)
-        if cached is not None:
-            file_findings, file_suppressions = cached
-        else:
-            file_findings, file_suppressions = lint_text(relpath, text)
-            cache.put(relpath, text, [file_findings, file_suppressions])
-        cache.record(relpath, cached is not None,
-                     time.monotonic() - file_started)
+        file_findings, file_suppressions = lint_text(relpath, text)
         findings.extend(file_findings)
         suppressions.extend(file_suppressions)
         scanned += 1
-    cache.gc()
 
     report = {
         "tool": "emsim_lint",
@@ -567,9 +410,8 @@ def main(argv):
         if f["snippet"]:
             print(f"    {f['snippet']}")
     summary = (f"emsim_lint: {scanned} files, {len(findings)} finding(s), "
-               f"{len(suppressions)} suppression(s), {cache.hits} cached")
+               f"{len(suppressions)} suppression(s)")
     print(summary, file=sys.stderr if findings else sys.stdout)
-    lint_cache.emit_stats(args, cache, "emsim_lint")
     return 1 if findings else 0
 
 

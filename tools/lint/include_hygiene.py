@@ -48,15 +48,10 @@ Exit status: 0 when clean, 1 when any finding, 2 on usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
-import time
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import lint_cache  # noqa: E402
 
 SCAN_DIRS = ("src", "tools", "bench", "tests", "examples")
 SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
@@ -319,6 +314,9 @@ def blank_member_declarations(stripped: str) -> str:
 # Per-file analysis
 # ---------------------------------------------------------------------------
 
+_USE_TOKEN_RE = re.compile(r"(?<![\w.])(?<!->)\w+")
+
+
 def symbol_use_re(names) -> re.Pattern:
     """Word-boundary match that rejects member access (`x.Run()`, `p->Run()`):
     a member named like an exported symbol is not a use of the header."""
@@ -497,6 +495,10 @@ class HygieneChecker:
                 f"symbol from <{header}> used without a direct include")
             (suppressions if allowed else findings).append(entry)
 
+        # Every name the file could use, under the same member-access rules
+        # as symbol_use_re: an exported name absent from this set cannot
+        # match, so the per-name regex search below is skipped for it.
+        used_tokens = set(_USE_TOKEN_RE.findall(usage))
         checked: set[str] = set()
         for header, names in sorted(self.exports.items()):
             if header == relpath or header in provided_project:
@@ -504,7 +506,8 @@ class HygieneChecker:
             if not self._layered_provider(relpath, header):
                 continue
             for name in sorted(names):
-                if name in checked or name in self_names:
+                if name in checked or name in self_names \
+                        or name not in used_tokens:
                     continue
                 providers = {p for p in self.providers[name]
                              if self._layered_provider(relpath, p)}
@@ -552,22 +555,7 @@ def iter_sources(root: Path):
                 yield path
 
 
-def environment_digest(files: dict[str, str]) -> str:
-    """Digest of everything a single file's verdict can depend on besides its
-    own bytes: the set of scanned paths and the contents of every header
-    (exports, transitive includes). Editing a header invalidates the whole
-    cache — conservative but correct; editing a .cc invalidates only itself."""
-    h = hashlib.sha256()
-    for relpath in sorted(files):
-        h.update(relpath.encode("utf-8", "replace"))
-        h.update(b"\0")
-        if relpath.endswith((".h", ".hpp")):
-            h.update(hashlib.sha256(
-                files[relpath].encode("utf-8", "replace")).digest())
-    return h.hexdigest()
-
-
-def run(root: Path, fix: bool = False, cache: lint_cache.FileCache = None):
+def run(root: Path, fix: bool = False):
     files: dict[str, str] = {}
     for path in iter_sources(root):
         relpath = path.relative_to(root).as_posix()
@@ -578,22 +566,9 @@ def run(root: Path, fix: bool = False, cache: lint_cache.FileCache = None):
 
     findings, suppressions = [], []
     for relpath in sorted(files):
-        file_started = time.monotonic()
-        cached = cache.get(relpath, files[relpath]) if cache else None
-        if cached is not None:
-            file_findings, file_suppressions = cached
-        else:
-            file_findings, file_suppressions = checker.check_file(relpath)
-            if cache:
-                cache.put(relpath, files[relpath],
-                          [file_findings, file_suppressions])
-        if cache:
-            cache.record(relpath, cached is not None,
-                         time.monotonic() - file_started)
+        file_findings, file_suppressions = checker.check_file(relpath)
         findings.extend(file_findings)
         suppressions.extend(file_suppressions)
-    if cache:
-        cache.gc()
 
     if fix:
         doomed: dict[str, set[int]] = {}
@@ -615,7 +590,6 @@ def main(argv):
     parser.add_argument("--report", help="write a machine-readable JSON report")
     parser.add_argument("--fix", action="store_true",
                         help="delete unsuppressed unused-include lines in place")
-    lint_cache.add_cache_args(parser, "include-hygiene")
     args = parser.parse_args(argv)
 
     root = Path(args.root).resolve()
@@ -623,16 +597,7 @@ def main(argv):
         print(f"include_hygiene: no such directory: {root}", file=sys.stderr)
         return 2
 
-    # The environment digest needs the scanned file set, which run() also
-    # loads; reading twice keeps run() reusable from the tests.
-    preload = {path.relative_to(root).as_posix():
-               path.read_text(encoding="utf-8", errors="replace")
-               for path in iter_sources(root)}
-    cache = lint_cache.FileCache(
-        lint_cache.resolve_cache_dir(args, root, "include-hygiene"),
-        lint_cache.digest_paths(__file__),
-        environment_digest(preload))
-    scanned, findings, suppressions = run(root, fix=args.fix, cache=cache)
+    scanned, findings, suppressions = run(root, fix=args.fix)
 
     report = {
         "tool": "include_hygiene",
@@ -648,10 +613,9 @@ def main(argv):
     for f in findings:
         print(f"{f['path']}:{f['line']}: [{f['kind']}] {f['message']}")
     summary = (f"include_hygiene: {scanned} files, {len(findings)} finding(s), "
-               f"{len(suppressions)} suppression(s), {cache.hits} cached"
+               f"{len(suppressions)} suppression(s)"
                + (" (unused includes removed)" if args.fix and findings else ""))
     print(summary, file=sys.stderr if findings else sys.stdout)
-    lint_cache.emit_stats(args, cache, "include_hygiene")
     return 1 if findings else 0
 
 

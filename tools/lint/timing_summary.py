@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Render lint timing reports as a GitHub step-summary markdown table.
 
-Every lint-tier tool (run_clang_tidy.py, emsim_lint.py, include_hygiene.py,
-emsim_analyze.py) writes a --timing-report JSON with the same envelope:
+run_clang_tidy.py writes a --timing-report JSON with this envelope:
 
     {"tool": ..., "wall_seconds": ...,
      "cache": {"hits": ..., "misses": ..., "hit_ratio": ...}, ...}
 
 CI appends `timing_summary.py <report>...` output to $GITHUB_STEP_SUMMARY so
-the wall time and cache hit ratio of each gate are visible on the run page
-without downloading artifacts. Missing files are reported but non-fatal:
+the wall time and cache hit ratio of the gate are visible on the run page
+without downloading artifacts. A missing file is reported but non-fatal:
 a tool that failed before writing its report should not mask the others.
 """
 
@@ -29,8 +28,6 @@ def row(path: str) -> str:
     ratio = cache.get("hit_ratio")
     ratio_text = f"{ratio:.0%}" if isinstance(ratio, (int, float)) else "n/a"
     extra = []
-    if data.get("frontend"):
-        extra.append(f"frontend={data['frontend']}")
     if data.get("over_budget"):
         extra.append("**over budget**")
     return (f"| {data.get('tool', path)} | {data.get('wall_seconds', 0):.2f}s "
