@@ -66,7 +66,7 @@ class Engine final : public disk::RequestSink {
  public:
   explicit Engine(const MergeConfig& config)
       : config_(config),
-        metrics_(config.collect_metrics),
+        metrics_(config.collect_metrics ? &registry_ : nullptr),
         layout_(disk::RunLayout::Options{config.num_runs, config.num_disks,
                                          config.blocks_per_run, config.disk_params.geometry,
                                          config.placement, config.run_lengths}),
@@ -75,9 +75,9 @@ class Engine final : public disk::RequestSink {
                                                              config.seed)
                         : nullptr),
         disks_(&sim_, disk::DiskArray::Options{config.disk_params, config.num_disks,
-                                               config.seed, &metrics_, fault_plan_.get()}),
+                                               config.seed, metrics_, fault_plan_.get()}),
         cache_(&sim_, cache::BlockCache::Options{config.EffectiveCacheBlocks(),
-                                                 config.num_runs, &metrics_}),
+                                                 config.num_runs, metrics_}),
         runs_(config.run_lengths.empty()
                   ? io::RunStates(config.num_runs, config.blocks_per_run)
                   : io::RunStates(config.run_lengths)),
@@ -85,22 +85,26 @@ class Engine final : public disk::RequestSink {
         depletion_rng_(rng_.Split()),
         planner_rng_(rng_.Split()),
         depletion_(MakeDepletion(config)) {
-    // Only wire kernel instrumentation when the registry retains it: a
-    // disabled registry hands out non-null sink instruments, and a non-null
-    // calendar-depth timeline turns off the lone-runner fast path. Detached
+    // Every layer gets the registry only when metrics are collected; without
+    // one each hook is a skipped null check. A non-null calendar-depth
+    // timeline also turns off the kernel's lone-runner fast path: detached
     // and attached runs produce byte-identical results by the AdvanceInline
     // replay contract.
-    sim_.AttachMetrics(config.collect_metrics ? &metrics_ : nullptr);
-    metric_stalls_ = &metrics_.GetCounter("merge.demand_stalls");
-    metric_stall_ms_ = &metrics_.GetGauge("merge.stall_ms");
+    sim_.AttachMetrics(metrics_);
+    if (metrics_ != nullptr) {
+      metric_stalls_ = &metrics_->GetCounter("merge.demand_stalls");
+      metric_stall_ms_ = &metrics_->GetGauge("merge.stall_ms");
+    }
     if (fault_plan_ != nullptr) {
       // Fault machinery exists only when injection is on: a fault-free trial
       // registers no fault metrics and takes no fault branches, keeping its
       // exports byte-identical to the pre-fault simulator.
       health_ = std::make_unique<fault::HealthTracker>(config.num_disks);
       retry_ = std::make_unique<io::FetchRetryDriver>(&sim_, &disks_, health_.get(),
-                                                      config.fault.retry, &metrics_);
-      metric_degraded_disks_ = &metrics_.GetTimeline("fault.degraded_disks");
+                                                      config.fault.retry, metrics_);
+      if (metrics_ != nullptr) {
+        metric_degraded_disks_ = &metrics_->GetTimeline("fault.degraded_disks");
+      }
     }
     if (config.strategy == Strategy::kAllDisksOneRun) {
       planner_ = io::MakeAllDisksOneRunPlanner(config.prefetch_depth,
@@ -431,8 +435,10 @@ class Engine final : public disk::RequestSink {
     const double ms = sim_.Now() - start;
     ++result_.demand_stalls;
     result_.stall_ms.Add(ms);
-    metric_stalls_->Increment();
-    metric_stall_ms_->Add(ms);
+    if (metric_stalls_ != nullptr) {
+      metric_stalls_->Increment();
+      metric_stall_ms_->Add(ms);
+    }
     return !fault_abort_;
   }
 
@@ -563,9 +569,9 @@ class Engine final : public disk::RequestSink {
       result_.fault.quarantine_events = health_->quarantine_events();
       result_.fault.quarantine_ms = health_->quarantine_ms();
     }
-    if (metrics_.enabled()) {
-      metrics_.FlushTimelines(sim_.Now());
-      result_.metrics = metrics_.Samples();
+    if (metrics_ != nullptr) {
+      metrics_->FlushTimelines(sim_.Now());
+      result_.metrics = metrics_->Samples();
     }
     merge_finished_ = true;
     co_return;
@@ -573,8 +579,10 @@ class Engine final : public disk::RequestSink {
 
   MergeConfig config_;
   sim::Simulation sim_;
-  /// Declared before disks_/cache_: their Options carry its address.
-  obs::MetricsRegistry metrics_;
+  obs::MetricsRegistry registry_;
+  /// &registry_ when config.collect_metrics, else null. Declared before
+  /// disks_/cache_: their Options carry it.
+  obs::MetricsRegistry* metrics_;
   disk::RunLayout layout_;
   /// Declared before disks_: the array's Options carry the plan's address.
   /// Null (and all fault machinery absent) when injection is disabled.

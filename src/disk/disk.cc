@@ -158,7 +158,7 @@ sim::Process Disk::Serve() {
     // stream (rng_) is never perturbed. With no plan attached every value
     // below is exactly the fault-free one.
     double positioning_ms = cost.PositioningMs();
-    double per_block = mechanism_.params().TransferMsPerBlock();
+    double per_block = mechanism_.transfer_ms_per_block();
     bool media_error = false;
     if (faults_ != nullptr) {
       fault::RequestFault verdict = faults_->OnRequestStart(id_, sim_->Now());

@@ -10,10 +10,12 @@ namespace emsim::disk {
 
 Mechanism::Mechanism(const DiskParams& params) : params_(params) {
   EMSIM_CHECK(params.Validate().ok());
+  blocks_per_cylinder_ = params.geometry.BlocksPerCylinder();
+  transfer_ms_per_block_ = params.TransferMsPerBlock();
 }
 
 int64_t Mechanism::SeekDistanceTo(int64_t start_block) const {
-  return std::llabs(params_.geometry.CylinderOf(start_block) - current_cylinder_);
+  return std::llabs(CylinderOf(start_block) - current_cylinder_);
 }
 
 double Mechanism::BlockAngle(int64_t block) const {
@@ -21,7 +23,7 @@ double Mechanism::BlockAngle(int64_t block) const {
   // revolution. Blocks that straddle a track boundary are approximated by
   // their modular sector offset (head switches are free in this model).
   const Geometry& g = params_.geometry;
-  int64_t within = block % g.BlocksPerCylinder();
+  int64_t within = block % blocks_per_cylinder_;
   int64_t start_sector = (within * g.SectorsPerBlock()) % g.sectors_per_track;
   return static_cast<double>(start_sector) / g.sectors_per_track;
 }
@@ -30,14 +32,14 @@ AccessCost Mechanism::Access(int64_t start_block, int nblocks, Rng& rng, double 
   EMSIM_CHECK(start_block >= 0);
   EMSIM_CHECK(nblocks >= 1);
   AccessCost cost;
-  cost.transfer_ms = params_.TransferMsPerBlock() * nblocks;
+  cost.transfer_ms = transfer_ms_per_block_ * nblocks;
 
   const bool sequential =
       params_.sequential_optimization && start_block == next_sequential_block_;
   if (sequential) {
     cost.sequential = true;
   } else {
-    int64_t target = params_.geometry.CylinderOf(start_block);
+    int64_t target = CylinderOf(start_block);
     cost.seek_cylinders = std::llabs(target - current_cylinder_);
     cost.seek_ms = params_.SeekMs(cost.seek_cylinders);
     switch (params_.rotation) {
@@ -66,7 +68,7 @@ AccessCost Mechanism::Access(int64_t start_block, int nblocks, Rng& rng, double 
   }
 
   int64_t last_block = start_block + nblocks - 1;
-  current_cylinder_ = params_.geometry.CylinderOf(last_block);
+  current_cylinder_ = CylinderOf(last_block);
   next_sequential_block_ = last_block + 1;
   return cost;
 }

@@ -23,8 +23,10 @@ struct AccessCost {
 /// Stateful head-position model of a single disk: tracks the arm cylinder
 /// and the next physically sequential block, and prices an access to `n`
 /// contiguous blocks as seek(distance) + rotational latency + n * T, the
-/// paper's cost model. Pure timing logic with no simulator dependency, so
-/// the analysis and the external-sort accounting reuse it directly.
+/// paper's cost model. Blocks per cylinder and the per-block transfer time
+/// are computed once at construction, not per access. Pure timing logic with
+/// no simulator dependency, so the analysis and the external-sort accounting
+/// reuse it directly.
 class Mechanism {
  public:
   explicit Mechanism(const DiskParams& params);
@@ -48,8 +50,15 @@ class Mechanism {
 
   const DiskParams& params() const { return params_; }
 
+  /// params().TransferMsPerBlock(), computed once.
+  double transfer_ms_per_block() const { return transfer_ms_per_block_; }
+
  private:
+  int64_t CylinderOf(int64_t block) const { return block / blocks_per_cylinder_; }
+
   DiskParams params_;
+  int64_t blocks_per_cylinder_ = 0;
+  double transfer_ms_per_block_ = 0.0;
   int64_t current_cylinder_ = 0;
   int64_t next_sequential_block_ = -1;
 };

@@ -2,27 +2,6 @@
 
 namespace emsim::obs {
 
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  if (!enabled_) {
-    return sink_counter_;
-  }
-  return counters_[name];
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  if (!enabled_) {
-    return sink_gauge_;
-  }
-  return gauges_[name];
-}
-
-Timeline& MetricsRegistry::GetTimeline(const std::string& name) {
-  if (!enabled_) {
-    return sink_timeline_;
-  }
-  return timelines_[name];
-}
-
 void MetricsRegistry::FlushTimelines(double now) {
   for (auto& [name, timeline] : timelines_) {
     timeline.Flush(now);
@@ -31,9 +10,6 @@ void MetricsRegistry::FlushTimelines(double now) {
 
 std::vector<MetricsRegistry::Sample> MetricsRegistry::Samples() const {
   std::vector<Sample> out;
-  if (!enabled_) {
-    return out;
-  }
   out.reserve(counters_.size() + 2 * gauges_.size() + 3 * timelines_.size());
   for (const auto& [name, counter] : counters_) {
     out.push_back({name, static_cast<double>(counter.value())});

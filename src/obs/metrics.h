@@ -62,27 +62,22 @@ class Timeline {
 /// storage), so components look their instruments up once at wiring time and
 /// touch only the instrument on the hot path.
 ///
-/// A registry constructed disabled hands every caller the same internal
-/// sink instruments: the instrumented code runs unchanged (one arithmetic
-/// op per hook, no branches, no allocation, no lookup) but nothing is
-/// retained per name and Samples() is empty. This is the "near-zero
-/// overhead when off" mode the simulator uses by default.
+/// Collection is opt-in by absence: a component handed no registry (nullptr)
+/// keeps null instrument pointers and skips every hook behind one branch, so
+/// instruments cost nothing when metrics are off.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  bool enabled() const { return enabled_; }
+  /// Finds or creates the named instrument.
+  Counter& GetCounter(const std::string& name) { return counters_[name]; }
+  Gauge& GetGauge(const std::string& name) { return gauges_[name]; }
+  Timeline& GetTimeline(const std::string& name) { return timelines_[name]; }
 
-  /// Finds or creates the named instrument. Disabled registries return a
-  /// shared sink instead (never exported).
-  Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
-  Timeline& GetTimeline(const std::string& name);
-
-  /// True if the named instrument exists (always false when disabled).
+  /// True if the named instrument exists.
   bool HasCounter(const std::string& name) const { return counters_.contains(name); }
   bool HasGauge(const std::string& name) const { return gauges_.contains(name); }
   bool HasTimeline(const std::string& name) const { return timelines_.contains(name); }
@@ -99,18 +94,14 @@ class MetricsRegistry {
   };
 
   /// Deterministic flat export: samples sorted by name, one vector for all
-  /// instrument kinds. Empty when the registry is disabled.
+  /// instrument kinds.
   std::vector<Sample> Samples() const;
 
  private:
-  bool enabled_;
   // std::map: stable references + deterministic (sorted) iteration.
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Timeline> timelines_;
-  Counter sink_counter_;
-  Gauge sink_gauge_;
-  Timeline sink_timeline_;
 };
 
 }  // namespace emsim::obs

@@ -25,7 +25,7 @@ TEST(MetricsRegistryConcurrencyTest, IndependentRegistriesPerThread) {
   workers.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&samples, w] {
-      MetricsRegistry registry(/*enabled=*/true);
+      MetricsRegistry registry;
       Counter& events = registry.GetCounter("sim.events");
       Gauge& depth = registry.GetGauge("calendar.depth");
       Timeline& busy = registry.GetTimeline("disk.busy");
@@ -50,27 +50,6 @@ TEST(MetricsRegistryConcurrencyTest, IndependentRegistriesPerThread) {
       EXPECT_EQ(samples[static_cast<size_t>(w)][i].name, samples[0][i].name);
       EXPECT_EQ(samples[static_cast<size_t>(w)][i].value, samples[0][i].value);
     }
-  }
-}
-
-TEST(MetricsRegistryConcurrencyTest, DisabledRegistriesPerThread) {
-  // Disabled registries hand out per-registry sink instruments; with one
-  // registry per thread the sinks are thread-local by construction.
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([] {
-      MetricsRegistry registry(/*enabled=*/false);
-      Counter& events = registry.GetCounter("sim.events");
-      for (int i = 0; i < 10000; ++i) {
-        events.Increment();
-      }
-      EXPECT_TRUE(registry.Samples().empty());
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
   }
 }
 

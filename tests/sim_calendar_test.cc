@@ -184,7 +184,7 @@ class Meter {
 
  private:
   Simulation* sim_;
-  obs::MetricsRegistry metrics_{true};
+  obs::MetricsRegistry metrics_;
   bool attached_ = false;
 };
 
@@ -532,7 +532,7 @@ struct TickOutcome {
 TickOutcome RunTickScenario(const TickScenario& scenario, bool use_ticks) {
   TickRun run;
   run.use_ticks = use_ticks;
-  obs::MetricsRegistry metrics(true);
+  obs::MetricsRegistry metrics;
   if (scenario.attach_metrics) {
     run.sim.AttachMetrics(&metrics);
   }
@@ -725,7 +725,7 @@ TEST(TickSeriesTest, EqualTimesPopInSeqOrderAcrossTicksAndCalendar) {
   // T from process P's start, C3 from process Q's. P resumes within T's
   // event, so the tick counts one event and one sim.ticks.
   Simulation sim;
-  obs::MetricsRegistry metrics(true);
+  obs::MetricsRegistry metrics;
   sim.AttachMetrics(&metrics);
   std::vector<std::string> log;
   sim.ScheduleCallback(5.0, [&log] { log.push_back("C1"); });
@@ -786,7 +786,7 @@ TEST(CalendarTest, AdvanceInlineRunsOnlyWhileNothingElseIsPending) {
   EXPECT_EQ(sim.Now(), 105.0);
   EXPECT_EQ(sim.events_processed(), 5u);
 
-  obs::MetricsRegistry metrics(true);
+  obs::MetricsRegistry metrics;
   sim.AttachMetrics(&metrics);
   advanced.clear();
   sim.ScheduleCallback(110.0, [&advanced, &sim] { advanced.push_back(sim.AdvanceInline(111.0)); });
