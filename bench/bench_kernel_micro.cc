@@ -194,25 +194,6 @@ void BM_LoserTreeReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_LoserTreeReplay)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_FullMergeTrial(benchmark::State& state) {
-  core::MergeConfig cfg =
-      core::MergeConfig::Paper(25, 5, static_cast<int>(state.range(0)),
-                               core::Strategy::kAllDisksOneRun,
-                               core::SyncMode::kUnsynchronized);
-  uint64_t seed = 1;
-  uint64_t allocs0 = HeapAllocs();
-  uint64_t events = 0;
-  for (auto _ : state) {
-    cfg.seed = seed++;
-    auto result = core::SimulateMerge(cfg);
-    benchmark::DoNotOptimize(result->total_ms);
-    events += result->sim_events;
-  }
-  state.SetItemsProcessed(state.iterations() * 25000);  // Blocks per trial.
-  SetKernelCounters(state, events, allocs0);
-}
-BENCHMARK(BM_FullMergeTrial)->Arg(1)->Arg(10);
-
 /// One seed-1 trial per op, so events_per_op is that trial's exact event
 /// count whatever the iteration count.
 void RunFixedSeedTrials(benchmark::State& state, core::MergeConfig cfg) {
@@ -227,6 +208,13 @@ void RunFixedSeedTrials(benchmark::State& state, core::MergeConfig cfg) {
   state.SetItemsProcessed(state.iterations() * cfg.num_runs * cfg.blocks_per_run);
   SetKernelCounters(state, events, allocs0);
 }
+
+void BM_FullMergeTrial(benchmark::State& state) {
+  RunFixedSeedTrials(state, core::MergeConfig::Paper(25, 5, static_cast<int>(state.range(0)),
+                                                     core::Strategy::kAllDisksOneRun,
+                                                     core::SyncMode::kUnsynchronized));
+}
+BENCHMARK(BM_FullMergeTrial)->Arg(1)->Arg(10);
 
 // The perfbench deep-prefetch geometry: k=50, D=10, N=30, so nearly every
 // event is a block delivery.

@@ -16,7 +16,7 @@ namespace emsim::bench {
 inline constexpr int kTrials = 5;
 
 /// Trials per point actually used: kTrials, or the EMSIM_BENCH_TRIALS
-/// environment override (CI smoke jobs run with EMSIM_BENCH_TRIALS=2).
+/// environment override (EMSIM_BENCH_TRIALS=2 for a quick look).
 int Trials();
 
 /// Worker-pool parallelism for experiment points: 1 (serial — the default,
@@ -47,9 +47,10 @@ void EmitTable(const std::string& title, const stats::Table& table,
 
 /// Writes every experiment recorded by Run() since process start as a
 /// schema-stable JSON document (core::ExperimentSetToJson) to
-/// BENCH_<bench_name>.json — the artifact CI uploads and diffs. Directory
-/// from EMSIM_BENCH_JSON_DIR (default: working directory); set
-/// EMSIM_BENCH_JSON=0 to disable. Call once at the end of main.
+/// BENCH_<bench_name>.json (the fig-3.2 and fault-degradation ones are
+/// pinned by golden anchors). Directory from EMSIM_BENCH_JSON_DIR (default:
+/// working directory); set EMSIM_BENCH_JSON=0 to disable. Call once at the
+/// end of main.
 void WriteJsonArtifact(const std::string& bench_name);
 
 /// Standard banner for a bench binary: the paper's 1000-block runs and

@@ -53,48 +53,6 @@ struct RunningWorker {
 
 }  // namespace
 
-void StatsCollector::Add(const DispatchStats& stats) {
-  util::MutexLock lock(&mu_);
-  total_.launches += stats.launches;
-  total_.resubmissions += stats.resubmissions;
-  total_.deadline_kills += stats.deadline_kills;
-  total_.chaos_kills += stats.chaos_kills;
-  total_.spawn_failures += stats.spawn_failures;
-  total_.drain_kills += stats.drain_kills;
-}
-
-void StatsCollector::Note(const ShardEvent& event) {
-  util::MutexLock lock(&mu_);
-  switch (event.kind) {
-    case ShardEvent::Kind::kStart:
-      ++tally_.starts;
-      break;
-    case ShardEvent::Kind::kDone:
-      ++tally_.dones;
-      break;
-    case ShardEvent::Kind::kRetry:
-      ++tally_.retries;
-      break;
-    case ShardEvent::Kind::kFailed:
-      ++tally_.fails;
-      break;
-  }
-}
-
-std::function<void(const ShardEvent&)> StatsCollector::Observer() {
-  return [this](const ShardEvent& event) { Note(event); };
-}
-
-DispatchStats StatsCollector::Total() const {
-  util::MutexLock lock(&mu_);
-  return total_;
-}
-
-StatsCollector::EventTally StatsCollector::Tally() const {
-  util::MutexLock lock(&mu_);
-  return tally_;
-}
-
 Result<DispatchReport> RunShardedSweep(const DispatcherOptions& options,
                                        const std::string& shard_dir,
                                        const ShardCommandFn& command) {

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace emsim::sweep {
 
@@ -91,44 +89,6 @@ struct DispatchReport {
   std::vector<ShardDispatch> shards;
   bool drained = false;  ///< Drain requested; incomplete shards are resumable.
   DispatchStats stats;
-};
-
-/// Thread-safe roll-up of dispatch counters and shard-event tallies across
-/// concurrent dispatch rounds. One RunShardedSweep call is single-threaded,
-/// but a driver fanning sweeps out over several dispatcher threads (the
-/// multi-host transport direction) shares one collector: each round's
-/// observer calls Note(), each finished round Add()s its report stats, and
-/// Total()/Tally() read a consistent snapshot.
-class StatsCollector {
- public:
-  StatsCollector() = default;
-  StatsCollector(const StatsCollector&) = delete;
-  StatsCollector& operator=(const StatsCollector&) = delete;
-
-  /// Folds one dispatch round's counters into the running total.
-  void Add(const DispatchStats& stats) EMSIM_EXCLUDES(mu_);
-
-  /// Records one observed shard-lifecycle event.
-  void Note(const ShardEvent& event) EMSIM_EXCLUDES(mu_);
-
-  /// An `on_event` observer bound to this collector (calls Note()).
-  std::function<void(const ShardEvent&)> Observer();
-
-  /// Event counts in ShardEvent::Kind order: starts, dones, retries, fails.
-  struct EventTally {
-    int starts = 0;
-    int dones = 0;
-    int retries = 0;
-    int fails = 0;
-  };
-
-  DispatchStats Total() const EMSIM_EXCLUDES(mu_);
-  EventTally Tally() const EMSIM_EXCLUDES(mu_);
-
- private:
-  mutable util::Mutex mu_;
-  DispatchStats total_ EMSIM_GUARDED_BY(mu_);
-  EventTally tally_ EMSIM_GUARDED_BY(mu_);
 };
 
 /// Builds the worker argv for one shard attempt; `out_path` is where the

@@ -1,9 +1,10 @@
 // Corpus-replay driver for fuzz harnesses built without libFuzzer.
 //
-// Clang builds link the harness with -fsanitize=fuzzer, which supplies its
-// own main(); with every other toolchain this file provides one that walks
-// the arguments (files or directories of corpus inputs), feeds each file to
-// LLVMFuzzerTestOneInput once, and exits non-zero only if the harness traps.
+// A fuzzing build (EMSIM_FUZZ=ON with Clang) links the harness with
+// -fsanitize=fuzzer, which supplies its own main(); every other build links
+// this file, whose main() walks the arguments (files or directories of
+// corpus inputs), feeds each file to LLVMFuzzerTestOneInput once, and exits
+// non-zero only if the harness traps.
 // libFuzzer-style flags (anything starting with '-') are ignored so the
 // same ctest command line works for both link modes.
 

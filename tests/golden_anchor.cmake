@@ -6,7 +6,8 @@
 #
 # The command runs with WORK_DIR as its working directory and with
 # EMSIM_BENCH_JSON=1 and EMSIM_BENCH_JSON_DIR=WORK_DIR set, so a bench binary
-# writes its BENCH_*.json there. The command's stdout goes to
+# writes its BENCH_*.json there. EMSIM_BENCH_TRIALS is cleared: the pinned
+# bench artifacts are the default-trial runs. The command's stdout goes to
 # WORK_DIR/stdout.txt. ARTIFACT is a path relative to WORK_DIR.
 
 foreach(var WORK_DIR ARTIFACT SHA256)
@@ -33,6 +34,7 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(ENV{EMSIM_BENCH_JSON} 1)
 set(ENV{EMSIM_BENCH_JSON_DIR} "${WORK_DIR}")
+unset(ENV{EMSIM_BENCH_TRIALS})
 execute_process(COMMAND ${command}
                 WORKING_DIRECTORY "${WORK_DIR}"
                 RESULT_VARIABLE exit_code

@@ -251,45 +251,5 @@ TEST(DispatcherTest, DrainLetsInFlightWorkerFinishInsideGrace) {
   EXPECT_EQ(report->shards[0].shard, 0);
 }
 
-TEST(StatsCollectorTest, SharedAcrossConcurrentSweeps) {
-  // A driver fanning dispatch rounds out over several threads shares one
-  // StatsCollector: each round's observer feeds Note(), each finished round
-  // Add()s its counters, and the roll-up must reconcile exactly — every
-  // launch observed as a start, every shard observed done once.
-  constexpr int kSweeps = 3;
-  constexpr int kShards = 4;
-  StatsCollector stats;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> drivers;
-  drivers.reserve(kSweeps);
-  for (int s = 0; s < kSweeps; ++s) {
-    drivers.emplace_back([&stats, &failures, s] {
-      std::string dir = FreshDir(StrFormat("stats_shared_%d", s));
-      DispatcherOptions options;
-      options.num_shards = kShards;
-      options.max_workers = 2;
-      options.on_event = stats.Observer();
-      auto report =
-          RunShardedSweep(options, dir, ShellCommand("echo shard $0 > \"$1\""));
-      if (!report.ok()) {
-        ++failures;
-        return;
-      }
-      stats.Add(report->stats);
-    });
-  }
-  for (std::thread& driver : drivers) {
-    driver.join();
-  }
-  ASSERT_EQ(failures.load(), 0);
-  const DispatchStats total = stats.Total();
-  const StatsCollector::EventTally tally = stats.Tally();
-  EXPECT_EQ(tally.starts, total.launches);
-  EXPECT_EQ(tally.retries, total.resubmissions);
-  EXPECT_EQ(tally.dones, kSweeps * kShards);
-  EXPECT_EQ(tally.fails, 0);
-  EXPECT_GE(total.launches, kSweeps * kShards);
-}
-
 }  // namespace
 }  // namespace emsim::sweep
