@@ -51,7 +51,7 @@ struct TrialDeadline {
 
 /// One experiment point in a sweep: a named configuration and its trial
 /// count. This is the unit the spec parser, the trial runners and the
-/// sharded dispatcher all agree on.
+/// shard workers all agree on.
 struct SweepUnit {
   std::string name;
   MergeConfig config;

@@ -202,9 +202,7 @@ void WriteJson(stats::JsonWriter& w, const ExperimentResult& result) {
   w.EndObject();
 }
 
-std::string ExperimentSetToJson(
-    const std::vector<NamedExperiment>& experiments,
-    const std::function<void(stats::JsonWriter&)>& extra_fields) {
+std::string ExperimentSetToJson(const std::vector<NamedExperiment>& experiments) {
   stats::JsonWriter w;
   w.BeginObject();
   w.Field("schema_version", kJsonSchemaVersion);
@@ -223,9 +221,6 @@ std::string ExperimentSetToJson(
     w.EndObject();
   }
   w.EndArray();
-  if (extra_fields) {
-    extra_fields(w);
-  }
   w.EndObject();
   return w.Take();
 }

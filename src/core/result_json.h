@@ -1,7 +1,6 @@
 #ifndef EMSIM_CORE_RESULT_JSON_H_
 #define EMSIM_CORE_RESULT_JSON_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,14 +33,7 @@ void WriteJson(stats::JsonWriter& w, const ExperimentResult& result);
 /// Full export document: {"schema_version", "generator", "experiments":[...]}.
 /// This is the format `emsim_cli --json` and the bench JSON artifacts emit
 /// and CI diffs across commits.
-///
-/// `extra_fields`, when non-null, writes additional top-level key/value
-/// pairs after "experiments" (the caller supplies Key()+value calls). The
-/// export is byte-identical to the plain form when null — opt-in blocks
-/// like the sweep dispatch counters must not perturb default artifacts.
-std::string ExperimentSetToJson(
-    const std::vector<NamedExperiment>& experiments,
-    const std::function<void(stats::JsonWriter&)>& extra_fields = nullptr);
+std::string ExperimentSetToJson(const std::vector<NamedExperiment>& experiments);
 
 }  // namespace emsim::core
 

@@ -70,8 +70,8 @@ Result<std::vector<core::ExperimentResult>> MergePayloads(
         }
         continue;
       }
-      // A resubmitted straggler can leave two artifacts for the same shard;
-      // the per-task results are deterministic, so either copy is correct.
+      // The same shard may be given twice; the per-task results are
+      // deterministic, so either copy is correct.
       results[static_cast<size_t>(task.task)] = std::move(task.result);
       covered[static_cast<size_t>(task.task)] = true;
     }

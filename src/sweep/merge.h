@@ -29,9 +29,9 @@ struct NamedArtifact {
 ///
 /// Validation: every artifact's spec digest must match `units`; together
 /// the artifacts must cover every task index exactly once (duplicate shard
-/// indices with identical ranges are tolerated — a resubmitted straggler
-/// may race its first attempt — but conflicting or missing coverage is an
-/// error). A captured task failure surfaces as the failure with the lowest
+/// indices with identical ranges are tolerated — the per-task results are
+/// deterministic, so either copy is correct — but conflicting or missing
+/// coverage is an error). A captured task failure surfaces as the failure with the lowest
 /// global task index, as the same core::SweepTaskFailure a single-process
 /// RunSweep returns: "sweep task <i> failed: <status>".
 Result<std::vector<core::ExperimentResult>> MergeShardArtifacts(

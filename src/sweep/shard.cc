@@ -1,10 +1,12 @@
 #include "sweep/shard.h"
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "disk/disk.h"
@@ -427,6 +429,22 @@ ShardRange ShardSlice(int total_tasks, int shard_index, int num_shards) {
   int begin = shard_index * base + (shard_index < extra ? shard_index : extra);
   int size = base + (shard_index < extra ? 1 : 0);
   return ShardRange{begin, begin + size};
+}
+
+bool ParseShardSpec(std::string_view text, int* index, int* count) {
+  const char* const end = text.data() + text.size();
+  auto parse = [end](const char* from, int* out) -> const char* {
+    if (from == end || *from < '0' || *from > '9') {
+      return nullptr;
+    }
+    auto [ptr, ec] = std::from_chars(from, end, *out);
+    return ec == std::errc() ? ptr : nullptr;
+  };
+  const char* slash = parse(text.data(), index);
+  if (slash == nullptr || slash == end || *slash != '/') {
+    return false;
+  }
+  return parse(slash + 1, count) == end && *index < *count;
 }
 
 std::vector<core::SweepUnit> UnitsFromSpecs(

@@ -18,8 +18,7 @@ namespace emsim::sweep {
 /// human-facing export.
 inline constexpr int kShardSchemaVersion = 1;
 
-/// FNV-1a over raw bytes — the digest the artifact integrity footer and the
-/// run journal both record.
+/// FNV-1a over raw bytes — the digest the artifact integrity footer records.
 uint64_t Fnv1aDigest(std::string_view bytes);
 
 /// Appends the integrity footer to an encoded artifact payload:
@@ -29,7 +28,7 @@ uint64_t Fnv1aDigest(std::string_view bytes);
 /// The footer makes every artifact file self-verifying: a truncated write
 /// loses the footer, a truncated or bit-flipped payload disagrees with the
 /// recorded length/digest. UnsealShardArtifact refuses both, naming the
-/// failure, so resume and merge never trust a torn file.
+/// failure, so the merge never trusts a torn file.
 std::string SealShardArtifact(std::string payload);
 
 /// Verifies and strips the integrity footer; returns the payload, a view
@@ -51,6 +50,11 @@ struct ShardRange {
 /// extra task. Shards past the task count come out empty. Every process
 /// computes the same split from (total, k, N) alone — no coordination.
 ShardRange ShardSlice(int total_tasks, int shard_index, int num_shards);
+
+/// Parses a worker's shard as `k/N`: two plain non-negative decimal integers
+/// with 0 <= k < N and nothing else (no sign, space or trailing text). On
+/// false, `*index` and `*count` are unspecified.
+bool ParseShardSpec(std::string_view text, int* index, int* count);
 
 /// Canonical units for a parsed experiment spec, preserving spec order.
 std::vector<core::SweepUnit> UnitsFromSpecs(const std::vector<workload::ExperimentSpec>& specs);

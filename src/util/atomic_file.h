@@ -12,9 +12,8 @@ namespace emsim::util {
 /// destination, fsync'd, then renamed into place (and the parent directory
 /// fsync'd), so readers observe either the complete old file or the complete
 /// new file — never a torn or partially flushed artifact. Every artifact
-/// writer (shard artifacts, merged sweep JSON, bench exports, the sweep
-/// journal's sibling files) must publish through this class; the
-/// `artifact-raw-write` lint rule enforces it.
+/// writer (shard artifacts, merged sweep JSON, bench exports) must publish
+/// through this class; the `artifact-raw-write` lint rule enforces it.
 ///
 ///     auto file = util::AtomicFile::Create(path);
 ///     EMSIM_RETURN_IF_ERROR(file.status());

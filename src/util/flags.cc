@@ -136,17 +136,8 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
       return Status::InvalidArgument(
           StrFormat("flag --%s: %s", name.c_str(), set.message().c_str()));
     }
-    given_[name] = value;
   }
   return Status::OK();
-}
-
-std::optional<std::string> FlagSet::Given(const std::string& name) const {
-  auto it = given_.find(name);
-  if (it == given_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 std::string FlagSet::Usage() const {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,10 +34,6 @@ class FlagSet {
   /// InvalidArgument with a message naming the offending flag.
   Status Parse(int argc, const char* const* argv);
 
-  /// The text given for flag `name` on the command line (the last one if
-  /// repeated; "" for a bare bool flag), or nullopt if it was not given.
-  std::optional<std::string> Given(const std::string& name) const;
-
   /// Arguments that were not flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -57,7 +52,6 @@ class FlagSet {
 
   std::string program_;
   std::map<std::string, Flag> flags_;
-  std::map<std::string, std::string> given_;
   std::vector<std::string> positional_;
 };
 

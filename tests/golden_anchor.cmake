@@ -1,8 +1,17 @@
 # Byte anchor: runs one artifact-producing command in a fresh directory and
 # fails unless the artifact's sha256 equals the pinned hash.
 #
-#   cmake -DWORK_DIR=<dir> -DARTIFACT=<file> -DSHA256=<hex> \
+#   cmake -DWORK_DIR=<dir> -DARTIFACT=<file> -DSHA256=<hex> [-DSHARDS=<n>] \
 #         -P golden_anchor.cmake -- <command> [args...]
+#
+# With SHARDS set, the command is an emsim_cli sweep split across processes
+# (docs/SWEEPS.md): it runs as n workers, one after another,
+#
+#   <command> --sweep-worker --shard k/n --shard-out shard_k.json
+#
+# for k = 0..n-1, then as one merge of their artifacts,
+#
+#   <command> --sweep-merge shard_0.json ... --json <ARTIFACT>
 #
 # The command runs with WORK_DIR as its working directory and with
 # EMSIM_BENCH_JSON=1 and EMSIM_BENCH_JSON_DIR=WORK_DIR set, so a bench binary
@@ -30,18 +39,33 @@ if(NOT command)
   message(FATAL_ERROR "golden_anchor: no command after --")
 endif()
 
+function(run_step)
+  execute_process(COMMAND ${ARGN}
+                  WORKING_DIRECTORY "${WORK_DIR}"
+                  RESULT_VARIABLE exit_code
+                  OUTPUT_FILE "${WORK_DIR}/stdout.txt"
+                  ERROR_VARIABLE stderr_text)
+  if(NOT exit_code EQUAL 0)
+    message(FATAL_ERROR "golden_anchor: command exited ${exit_code}:\n${stderr_text}")
+  endif()
+endfunction()
+
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(ENV{EMSIM_BENCH_JSON} 1)
 set(ENV{EMSIM_BENCH_JSON_DIR} "${WORK_DIR}")
 unset(ENV{EMSIM_BENCH_TRIALS})
-execute_process(COMMAND ${command}
-                WORKING_DIRECTORY "${WORK_DIR}"
-                RESULT_VARIABLE exit_code
-                OUTPUT_FILE "${WORK_DIR}/stdout.txt"
-                ERROR_VARIABLE stderr_text)
-if(NOT exit_code EQUAL 0)
-  message(FATAL_ERROR "golden_anchor: command exited ${exit_code}:\n${stderr_text}")
+
+if(DEFINED SHARDS)
+  set(shard_files)
+  math(EXPR last_shard "${SHARDS} - 1")
+  foreach(k RANGE ${last_shard})
+    run_step(${command} --sweep-worker --shard ${k}/${SHARDS} --shard-out shard_${k}.json)
+    list(APPEND shard_files shard_${k}.json)
+  endforeach()
+  run_step(${command} --sweep-merge ${shard_files} --json ${ARTIFACT})
+else()
+  run_step(${command})
 endif()
 
 file(SHA256 "${WORK_DIR}/${ARTIFACT}" actual)

@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""End-to-end test of emsim_cli's sharded sweep fabric.
+"""End-to-end test of emsim_cli's worker and merge modes.
 
-Runs the real binary in all four modes and checks the determinism contract
-from docs/SWEEPS.md:
+Runs the real binary and checks the determinism contract from
+docs/SWEEPS.md:
 
-  * --sweep N output (table and JSON) is byte-identical to the
-    single-process run, for several N, with fault injection enabled;
-  * a chaos-killed worker shard is resubmitted and the run still completes
-    with identical bytes;
-  * hand-driven --sweep-worker / --sweep-merge reproduce the same bytes;
-  * a sweep driven by plain experiment flags (no --spec) forwards them to
-    its workers exactly, so its output matches the single-process run;
+  * hand-run --sweep-worker shards merged with --sweep-merge reproduce the
+    single-process output (table and JSON) byte for byte, for several
+    shard counts, with fault injection enabled;
+  * workers given plain experiment flags (no --spec) build the same task
+    grid, so their merge matches the single-process run too;
   * a worker records task failures as data; the merge and the
     single-process run both exit 1 with the same lowest-index failure;
-  * invalid flag values (--trials 0, a nan number, an int out of range)
-    exit 2 with a message naming the flag, never a CHECK abort.
+  * invalid flag values (--trials 0, a nan number, an int out of range, a
+    malformed --shard) exit 2 with a message naming the flag, never a
+    CHECK abort, and the retired --sweep driver flag is unknown.
 
 Usage: sweep_cli_test.py <path-to-emsim_cli>
 """
@@ -84,49 +83,25 @@ class SweepCliTest(unittest.TestCase):
         proc = run_cli(["--spec", self.spec, "--json", "-"], cwd=self.dir)
         return proc.stdout, proc.stderr
 
-    def test_sweep_driver_matches_single_process(self):
-        want_json, want_table = self.single_process_reference()
-        for shards in (1, 2, 7):
-            proc = run_cli(
-                [
-                    "--spec", self.spec,
-                    "--sweep", str(shards),
-                    "--shard-dir", os.path.join(self.dir, f"shards_{shards}"),
-                    "--json", "-",
-                ],
-                cwd=self.dir,
-            )
-            self.assertEqual(proc.stdout, want_json, f"--sweep {shards} JSON differs")
+    def worker_and_merge(self, args, shards, merge_args):
+        """Runs `shards` workers over `args`, then merges their artifacts."""
+        shard_files = []
+        for k in range(shards):
+            out = os.path.join(self.dir, f"shard_{k}_of_{shards}.json")
+            run_cli(args + ["--sweep-worker", "--shard", f"{k}/{shards}",
+                            "--shard-out", out], cwd=self.dir)
+            shard_files.append(out)
+        return run_cli(args + ["--sweep-merge"] + merge_args + shard_files,
+                       cwd=self.dir)
 
-    def test_chaos_killed_shard_is_resubmitted(self):
-        want_json, _ = self.single_process_reference()
-        proc = run_cli(
-            [
-                "--spec", self.spec,
-                "--sweep", "3",
-                "--sweep-chaos-kill-shard", "1",
-                "--shard-backoff-ms", "1",
-                "--shard-dir", os.path.join(self.dir, "shards_chaos"),
-                "--json", "-",
-            ],
-            cwd=self.dir,
-        )
-        self.assertIn("chaos-killed", proc.stderr)
-        self.assertIn("resubmitting", proc.stderr)
-        self.assertEqual(proc.stdout, want_json)
-
-    def test_flag_driven_sweep_matches_single_process(self):
+    def test_flag_driven_workers_match_single_process(self):
         flags = ["--runs", "4", "--disks", "2", "--blocks", "30", "--n", "2",
                  "--trials", "3", "--cpu_ms", "0.0123456789",
                  "--fault_spike_rate", "0.05"]
         want = run_cli(flags + ["--json", "-"], cwd=self.dir)
-        proc = run_cli(
-            flags + ["--sweep", "3",
-                     "--shard-dir", os.path.join(self.dir, "shards_flags"),
-                     "--json", "-"],
-            cwd=self.dir,
-        )
+        proc = self.worker_and_merge(flags, 3, ["--json", "-"])
         self.assertEqual(proc.stdout, want.stdout)
+        self.assertEqual(proc.stderr, want.stderr)
 
     def test_print_spec_shows_cli_defaults(self):
         proc = run_cli(["--runs", "4", "--disks", "2", "--blocks", "30",
@@ -141,21 +116,12 @@ class SweepCliTest(unittest.TestCase):
 
     def test_manual_worker_and_merge_match(self):
         want_json, want_table = self.single_process_reference()
-        shard_files = []
-        for k in range(2):
-            out = os.path.join(self.dir, f"manual_{k}.json")
-            run_cli(
-                ["--spec", self.spec, "--sweep-worker", "--shard", f"{k}/2",
-                 "--shard-out", out],
-                cwd=self.dir,
-            )
-            shard_files.append(out)
-        proc = run_cli(
-            ["--spec", self.spec, "--sweep-merge", "--json", "-"] + shard_files,
-            cwd=self.dir,
-        )
-        self.assertEqual(proc.stdout, want_json)
-        self.assertEqual(proc.stderr, want_table)
+        for shards in (1, 2, 7):
+            with self.subTest(shards=shards):
+                proc = self.worker_and_merge(["--spec", self.spec], shards,
+                                             ["--json", "-"])
+                self.assertEqual(proc.stdout, want_json)
+                self.assertEqual(proc.stderr, want_table)
 
     def test_worker_records_failure_and_merge_surfaces_it(self):
         bad_spec = os.path.join(self.dir, "bad.ini")
@@ -230,6 +196,22 @@ class SweepCliTest(unittest.TestCase):
                 self.assertEqual(proc.returncode, 2, proc.stderr)
                 self.assertNotIn("EMSIM_CHECK", proc.stderr)
                 self.assertIn(extra[-2].lstrip("-"), proc.stderr)
+        out = os.path.join(self.dir, "never_written.json")
+        for text in ("0/2x", "0/2/9", "1/+2", "-0/2", " 0/2", "2/2", "0/0", "0/",
+                     "/2", "0/99999999999"):
+            with self.subTest(shard=text):
+                proc = run_cli(base + ["--sweep-worker", "--shard-out", out,
+                                       "--shard", text],
+                               cwd=self.dir, check=False)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn("--shard must be k/N", proc.stderr)
+                self.assertFalse(os.path.exists(out))
+
+    def test_retired_sweep_driver_flag_is_unknown(self):
+        proc = run_cli(["--spec", self.spec, "--sweep", "7"], cwd=self.dir,
+                       check=False)
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn("unknown flag --sweep", proc.stderr)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -90,21 +89,6 @@ TEST(FlagSetTest, IntOutsideIntRangeIsErrorNamingTheFlag) {
   const char* argv[] = {"t", "--edge", "-2147483648"};
   ASSERT_TRUE(flags.Parse(3, argv).ok());
   EXPECT_EQ(edge, std::numeric_limits<int>::min());
-}
-
-TEST(FlagSetTest, GivenReportsTheTextAsTyped) {
-  FlagSet flags("t");
-  double d = 0;
-  bool b = false;
-  int unused = 0;
-  flags.AddDouble("d", &d, "double");
-  flags.AddBool("b", &b, "bool");
-  flags.AddInt("unused", &unused, "int");
-  const char* argv[] = {"t", "--d", "1.0", "--d=0.0123456789", "--b"};
-  ASSERT_TRUE(flags.Parse(5, argv).ok());
-  EXPECT_EQ(flags.Given("d"), "0.0123456789");  // The last one wins.
-  EXPECT_EQ(flags.Given("b"), "");
-  EXPECT_EQ(flags.Given("unused"), std::nullopt);
 }
 
 TEST(FlagSetTest, NonFiniteDoubleIsErrorNamingTheFlag) {

@@ -55,8 +55,7 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        a function-local `static` that is mutated and
                        reachable from a parallel entry point (ThreadPool::
                        Run/RunTasks/WorkerLoop, RunSweepRange, RunTrials,
-                       RunSweep, RunShardedSweep) and is
-                       neither const, std::atomic, once_flag, nor a
+                       RunSweep) and is neither const, std::atomic, once_flag, nor a
                        lock-bearing type; or a data member of a lock-bearing
                        class (one that owns a Mutex) that is neither
                        EMSIM_GUARDED_BY, std::atomic, const, nor a
@@ -73,8 +72,8 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        held capability) is a one-node cycle. Each cycle is
                        reported once per capability set.
   lock-held-blocking   A blocking operation while a capability is held:
-                       subprocess spawn/wait (fork, Subprocess::Start,
-                       waitpid, system, popen), fsync/fdatasync, or
+                       subprocess spawn/wait (fork, waitpid, system,
+                       popen), fsync/fdatasync, or
                        sleep_for/sleep_until — directly or through a
                        bounded-depth callee — or a predicate-less
                        condition-variable wait(lock) that is not wrapped in
@@ -145,14 +144,13 @@ BLOCKING_IDS = {"mutex", "timed_mutex", "recursive_mutex",
 
 # --- Concurrency-rule configuration (capability discipline) ------------------
 
-# Entry points that run caller-supplied work on several threads (or drive the
-# multi-process shard dispatcher): every function reachable from one of these
-# executes in a parallel context, so mutable statics it touches need a
-# declared discipline. Matched against the definition's qualified name by
-# whole-name or `::`-suffix.
+# Entry points that run caller-supplied work on several threads: every
+# function reachable from one of these executes in a parallel context, so
+# mutable statics it touches need a declared discipline. Matched against the
+# definition's qualified name by whole-name or `::`-suffix.
 PARALLEL_ROOTS = (
     "ThreadPool::Run", "ThreadPool::RunTasks", "ThreadPool::WorkerLoop",
-    "RunSweepRange", "RunTrials", "RunSweep", "RunShardedSweep",
+    "RunSweepRange", "RunTrials", "RunSweep",
 )
 
 # RAII locker types that acquire a capability for a lexical scope. An
@@ -165,11 +163,9 @@ LOCKER_SKIP_TAGS = {"adopt_lock", "defer_lock", "try_to_lock"}
 
 # Operations that block the calling thread on the host OS (or spawn and wait
 # on real processes): forbidden while a capability is held, directly or
-# through a bounded-depth callee. Subprocess::Start is the repo's sanctioned
-# spawn entry point, matched by qualified call spelling.
+# through a bounded-depth callee.
 BLOCKING_CALLS = {"fsync", "fdatasync", "fork", "system", "popen", "waitpid",
                   "sleep_for", "sleep_until"}
-BLOCKING_QUALIFIED = {"Subprocess::Start"}
 
 # Type tokens that exempt a static or a data member from
 # shared-state-unguarded: their own synchronization (atomic, once_flag),
@@ -968,9 +964,6 @@ class FileParser:
             fn["locked_calls"].append({"full": full, "simple": simple,
                                        "line": toks[i].line,
                                        "held": list(held)})
-        for q in BLOCKING_QUALIFIED:
-            if full == q or full.endswith("::" + q):
-                fn["blocking"].append(full)
         # Determinism sources expressed as calls.
         part_set = set(parts)
         if simple == "now" and (part_set & WALL_CLOCKS

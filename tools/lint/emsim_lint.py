@@ -29,7 +29,7 @@ source of run-to-run nondeterminism at the source level:
                        an EMSIM_CHECK).
   artifact-raw-write   std::ofstream or write-mode fopen() outside tests/ —
                        a crash mid-write publishes a torn file under its
-                       final name, defeating the journal/footer durability
+                       final name, defeating the footer durability
                        contract (docs/SWEEPS.md); artifacts must be staged
                        through util::AtomicFile / util::WriteFileAtomic.
                        Read-mode fopen ("r", "rb") is fine.
@@ -220,12 +220,11 @@ def _result_unchecked_findings(relpath, code_lines):
 
 # artifact-raw-write: every artifact writer must stage through
 # util::AtomicFile (write temp -> fsync -> rename) so a crash can never
-# publish a torn file under its final name — the crash-resume path trusts any
-# artifact whose footer verifies, so a torn-but-lucky raw write would poison
-# the merge. The scan needs the RAW line for the fopen mode because
+# publish a torn file under its final name — the merge trusts any artifact
+# whose footer verifies, so a torn-but-lucky raw write would poison it. The scan needs the RAW line for the fopen mode because
 # strip_noncode() blanks string literals; the stripped line still gates the
 # match so fopen/ofstream in comments or strings do not fire. Tests are out
-# of scope: corrupting files on purpose is what the crash tests do.
+# of scope: corrupting files on purpose is what the integrity tests do.
 ARTIFACT_RAW_WRITE_MESSAGE = (
     "raw file write bypasses util::AtomicFile: a crash mid-write publishes a "
     "torn file under its final name, which downstream readers would trust; "
