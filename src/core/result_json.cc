@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "core/result_fields.h"
 #include "disk/disk.h"
 #include "disk/layout.h"
 #include "obs/metrics.h"
@@ -114,14 +115,7 @@ void WriteJson(stats::JsonWriter& w, const MergeResult& result) {
   w.Key("disk_totals");
   WriteDiskStats(w, result.disk_totals);
   w.Key("cache");
-  w.BeginObject();
-  w.Field("deposits", result.cache_stats.deposits);
-  w.Field("consumptions", result.cache_stats.consumptions);
-  w.Field("reservations_granted", result.cache_stats.reservations_granted);
-  w.Field("reservations_denied", result.cache_stats.reservations_denied);
-  w.Field("blocks_reserved", result.cache_stats.blocks_reserved);
-  w.Field("peak_occupancy", result.cache_stats.peak_occupancy);
-  w.EndObject();
+  JsonFieldWriter(w).Write(result.cache_stats);
   w.Key("per_disk");
   w.BeginArray();
   for (const disk::DiskUtilization& u : result.per_disk) {

@@ -7,11 +7,10 @@
 #include <cstdlib>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
-#include "disk/disk.h"
-#include "obs/metrics.h"
-#include "stats/accumulator.h"
+#include "core/result_fields.h"
 #include "stats/json_writer.h"
 #include "sweep/json_value.h"
 #include "util/check.h"
@@ -22,118 +21,10 @@ namespace emsim::sweep {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Encode helpers
-// ---------------------------------------------------------------------------
-
-void WriteDiskStats(stats::JsonWriter& w, const disk::DiskStats& s) {
-  w.BeginObject();
-  w.Field("requests", s.requests);
-  w.Field("demand_requests", s.demand_requests);
-  w.Field("blocks_transferred", s.blocks_transferred);
-  w.Field("seeks", s.seeks);
-  w.Field("seek_cylinders", s.seek_cylinders);
-  w.Field("seek_ms", s.seek_ms);
-  w.Field("rotation_ms", s.rotation_ms);
-  w.Field("transfer_ms", s.transfer_ms);
-  w.Field("queue_wait_ms", s.queue_wait_ms);
-  w.Field("max_queue_length", static_cast<uint64_t>(s.max_queue_length));
-  w.Field("media_errors", s.media_errors);
-  w.Field("latency_spikes", s.latency_spikes);
-  w.Field("dropped_requests", s.dropped_requests);
-  w.Field("fail_stop_ms", s.fail_stop_ms);
-  w.Field("fault_extra_ms", s.fault_extra_ms);
-  w.EndObject();
-}
-
-void WriteAccumulatorState(stats::JsonWriter& w, const stats::Accumulator& acc) {
-  stats::Accumulator::State s = acc.state();
-  w.BeginObject();
-  w.Field("count", s.count);
-  if (s.count > 0) {
-    // min/max are ±inf sentinels when empty — JSON has no Inf, so the empty
-    // state is encoded by the count alone.
-    w.Field("mean", s.mean);
-    w.Field("m2", s.m2);
-    w.Field("min", s.min);
-    w.Field("max", s.max);
-  }
-  w.EndObject();
-}
-
-void WriteMergeResult(stats::JsonWriter& w, const core::MergeResult& r) {
-  w.BeginObject();
-  w.Field("total_ms", r.total_ms);
-  w.Field("blocks_merged", r.blocks_merged);
-  w.Field("io_operations", r.io_operations);
-  w.Field("full_admissions", r.full_admissions);
-  w.Field("demand_stalls", r.demand_stalls);
-  w.Field("cache_hits", r.cache_hits);
-  w.Field("cpu_busy_ms", r.cpu_busy_ms);
-  w.Field("avg_concurrency", r.avg_concurrency);
-  w.Field("disk_active_fraction", r.disk_active_fraction);
-  w.Field("mean_cache_occupancy", r.mean_cache_occupancy);
-  w.Key("disk_totals");
-  WriteDiskStats(w, r.disk_totals);
-  w.Key("cache_stats");
-  w.BeginObject();
-  w.Field("deposits", r.cache_stats.deposits);
-  w.Field("consumptions", r.cache_stats.consumptions);
-  w.Field("reservations_granted", r.cache_stats.reservations_granted);
-  w.Field("reservations_denied", r.cache_stats.reservations_denied);
-  w.Field("blocks_reserved", r.cache_stats.blocks_reserved);
-  w.Field("peak_occupancy", r.cache_stats.peak_occupancy);
-  w.EndObject();
-  w.Key("stall_ms");
-  WriteAccumulatorState(w, r.stall_ms);
-  w.Field("write_blocks", r.write_blocks);
-  w.Field("write_requests", r.write_requests);
-  w.Field("write_stalls", r.write_stalls);
-  w.Field("write_drain_ms", r.write_drain_ms);
-  w.Field("sim_events", r.sim_events);
-  w.Key("fault");
-  w.BeginObject();
-  w.Field("injection_enabled", r.fault.injection_enabled);
-  w.Field("media_errors", r.fault.media_errors);
-  w.Field("latency_spikes", r.fault.latency_spikes);
-  w.Field("timeouts", r.fault.timeouts);
-  w.Field("retries", r.fault.retries);
-  w.Field("dropped_requests", r.fault.dropped_requests);
-  w.Field("permanent_failures", r.fault.permanent_failures);
-  w.Field("degraded_plans", r.fault.degraded_plans);
-  w.Field("quarantine_events", r.fault.quarantine_events);
-  w.Field("backoff_ms", r.fault.backoff_ms);
-  w.Field("fail_stop_ms", r.fault.fail_stop_ms);
-  w.Field("quarantine_ms", r.fault.quarantine_ms);
-  w.EndObject();
-  w.Key("per_disk");
-  w.BeginArray();
-  for (const disk::DiskUtilization& u : r.per_disk) {
-    w.BeginObject();
-    w.Field("id", u.id);
-    w.Field("busy_fraction", u.busy_fraction);
-    w.Field("mean_queue_length", u.mean_queue_length);
-    w.Key("stats");
-    WriteDiskStats(w, u.stats);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("metrics");
-  w.BeginArray();
-  for (const obs::MetricsRegistry::Sample& sample : r.metrics) {
-    w.BeginObject();
-    w.Field("name", sample.name);
-    w.Field("value", sample.value);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-}
-
-// ---------------------------------------------------------------------------
 // Decode helpers
 // ---------------------------------------------------------------------------
 
-Result<const JsonNode*> Field(const JsonNode& obj, const char* key) {
+Result<const JsonNode*> Member(const JsonNode& obj, const char* key) {
   const JsonNode* v = obj.Find(key);
   if (v == nullptr) {
     return Status::Corruption(StrFormat("shard artifact: missing field '%s'", key));
@@ -149,196 +40,114 @@ size_t CountItems(const JsonNode& array) {
   return count;
 }
 
-Status ReadU64(const JsonNode& obj, const char* key, uint64_t* out) {
-  auto v = Field(obj, key);
-  EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonNode::Kind::kNumber || !(*v)->is_integral || (*v)->is_negative) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' is not a u64", key));
-  }
-  *out = (*v)->magnitude;
-  return Status::OK();
-}
-
-Status ReadI64(const JsonNode& obj, const char* key, int64_t* out) {
-  auto v = Field(obj, key);
-  EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonNode::Kind::kNumber || !(*v)->is_integral) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' is not an integer", key));
-  }
-  uint64_t mag = (*v)->magnitude;
-  if ((*v)->is_negative) {
-    if (mag > static_cast<uint64_t>(INT64_MAX) + 1) {
-      return Status::Corruption(StrFormat("shard artifact: '%s' out of range", key));
+/// Reads member `key` of `obj` into `*out`, refusing a value that does not
+/// fit the type of `*out`: bool, std::string, double, an unsigned integer
+/// (a u64 on the wire), int64_t or int.
+template <typename T>
+Status Read(const JsonNode& obj, const char* key, T* out) {
+  auto member = Member(obj, key);
+  EMSIM_RETURN_IF_ERROR(member.status());
+  const JsonNode& v = **member;
+  auto refuse = [key](const char* defect) {
+    return Status::Corruption(StrFormat("shard artifact: '%s' %s", key, defect));
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    if (v.kind != JsonNode::Kind::kBool) {
+      return refuse("is not a bool");
     }
-    *out = static_cast<int64_t>(0 - mag);
+    *out = v.bool_value;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (v.kind != JsonNode::Kind::kString) {
+      return refuse("is not a string");
+    }
+    out->assign(v.string);
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (v.kind != JsonNode::Kind::kNumber) {
+      return refuse("is not a number");
+    }
+    *out = v.number;
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (v.kind != JsonNode::Kind::kNumber || !v.is_integral || v.is_negative) {
+      return refuse("is not a u64");
+    }
+    *out = static_cast<T>(v.magnitude);
   } else {
-    if (mag > static_cast<uint64_t>(INT64_MAX)) {
-      return Status::Corruption(StrFormat("shard artifact: '%s' out of range", key));
+    static_assert(std::is_same_v<T, int64_t> || std::is_same_v<T, int>);
+    if (v.kind != JsonNode::Kind::kNumber || !v.is_integral) {
+      return refuse("is not an integer");
     }
-    *out = static_cast<int64_t>(mag);
+    // |INT64_MIN| is INT64_MAX + 1.
+    if (v.magnitude > static_cast<uint64_t>(INT64_MAX) + (v.is_negative ? 1 : 0)) {
+      return refuse("out of range");
+    }
+    int64_t value = static_cast<int64_t>(v.is_negative ? 0 - v.magnitude : v.magnitude);
+    if constexpr (std::is_same_v<T, int>) {
+      if (value < INT32_MIN || value > INT32_MAX) {
+        return refuse("out of int range");
+      }
+    }
+    *out = static_cast<T>(value);
   }
   return Status::OK();
 }
 
-Status ReadInt(const JsonNode& obj, const char* key, int* out) {
-  int64_t v = 0;
-  EMSIM_RETURN_IF_ERROR(ReadI64(obj, key, &v));
-  if (v < INT32_MIN || v > INT32_MAX) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' out of int range", key));
+/// Reads the fields the table visits into a struct, through Read; the first
+/// error stops the walk.
+class FieldReader {
+ public:
+  const Status& status() const { return status_; }
+
+  template <typename T>
+  void Field(const char* key, T& leaf, bool on_wire = true) {
+    if (status_.ok() && on_wire) {
+      status_ = Read(*obj_, key, &leaf);
+    }
   }
-  *out = static_cast<int>(v);
-  return Status::OK();
-}
-
-Status ReadDouble(const JsonNode& obj, const char* key, double* out) {
-  auto v = Field(obj, key);
-  EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonNode::Kind::kNumber) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' is not a number", key));
+  template <typename S>
+  void Object(const char* key, S& sub) {
+    if (const JsonNode* node = Find(key)) {
+      ReadInto(*node, sub);
+    }
   }
-  *out = (*v)->number;
-  return Status::OK();
-}
-
-Status ReadBool(const JsonNode& obj, const char* key, bool* out) {
-  auto v = Field(obj, key);
-  EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonNode::Kind::kBool) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' is not a bool", key));
-  }
-  *out = (*v)->bool_value;
-  return Status::OK();
-}
-
-Status ReadString(const JsonNode& obj, const char* key, std::string* out) {
-  auto v = Field(obj, key);
-  EMSIM_RETURN_IF_ERROR(v.status());
-  if ((*v)->kind != JsonNode::Kind::kString) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' is not a string", key));
-  }
-  out->assign((*v)->string);
-  return Status::OK();
-}
-
-Status ReadDiskStats(const JsonNode& obj, disk::DiskStats* s) {
-  uint64_t max_queue = 0;
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "requests", &s->requests));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "demand_requests", &s->demand_requests));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "blocks_transferred", &s->blocks_transferred));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "seeks", &s->seeks));
-  EMSIM_RETURN_IF_ERROR(ReadI64(obj, "seek_cylinders", &s->seek_cylinders));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "seek_ms", &s->seek_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "rotation_ms", &s->rotation_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "transfer_ms", &s->transfer_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "queue_wait_ms", &s->queue_wait_ms));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "max_queue_length", &max_queue));
-  s->max_queue_length = static_cast<size_t>(max_queue);
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "media_errors", &s->media_errors));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "latency_spikes", &s->latency_spikes));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "dropped_requests", &s->dropped_requests));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "fail_stop_ms", &s->fail_stop_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "fault_extra_ms", &s->fault_extra_ms));
-  return Status::OK();
-}
-
-Status ReadAccumulator(const JsonNode& obj, stats::Accumulator* out) {
-  stats::Accumulator::State s;
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "count", &s.count));
-  if (s.count > 0) {
-    EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "mean", &s.mean));
-    EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "m2", &s.m2));
-    EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "min", &s.min));
-    EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "max", &s.max));
-  }
-  *out = stats::Accumulator::FromState(s);
-  return Status::OK();
-}
-
-Status ReadMergeResult(const JsonNode& obj, core::MergeResult* r) {
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "total_ms", &r->total_ms));
-  EMSIM_RETURN_IF_ERROR(ReadI64(obj, "blocks_merged", &r->blocks_merged));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "io_operations", &r->io_operations));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "full_admissions", &r->full_admissions));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "demand_stalls", &r->demand_stalls));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "cache_hits", &r->cache_hits));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "cpu_busy_ms", &r->cpu_busy_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "avg_concurrency", &r->avg_concurrency));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "disk_active_fraction", &r->disk_active_fraction));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "mean_cache_occupancy", &r->mean_cache_occupancy));
-
-  auto disk_totals = Field(obj, "disk_totals");
-  EMSIM_RETURN_IF_ERROR(disk_totals.status());
-  EMSIM_RETURN_IF_ERROR(ReadDiskStats(**disk_totals, &r->disk_totals));
-
-  auto cache_stats = Field(obj, "cache_stats");
-  EMSIM_RETURN_IF_ERROR(cache_stats.status());
-  EMSIM_RETURN_IF_ERROR(ReadU64(**cache_stats, "deposits", &r->cache_stats.deposits));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**cache_stats, "consumptions", &r->cache_stats.consumptions));
-  EMSIM_RETURN_IF_ERROR(
-      ReadU64(**cache_stats, "reservations_granted", &r->cache_stats.reservations_granted));
-  EMSIM_RETURN_IF_ERROR(
-      ReadU64(**cache_stats, "reservations_denied", &r->cache_stats.reservations_denied));
-  EMSIM_RETURN_IF_ERROR(
-      ReadU64(**cache_stats, "blocks_reserved", &r->cache_stats.blocks_reserved));
-  EMSIM_RETURN_IF_ERROR(
-      ReadI64(**cache_stats, "peak_occupancy", &r->cache_stats.peak_occupancy));
-
-  auto stall = Field(obj, "stall_ms");
-  EMSIM_RETURN_IF_ERROR(stall.status());
-  EMSIM_RETURN_IF_ERROR(ReadAccumulator(**stall, &r->stall_ms));
-
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "write_blocks", &r->write_blocks));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "write_requests", &r->write_requests));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "write_stalls", &r->write_stalls));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(obj, "write_drain_ms", &r->write_drain_ms));
-  EMSIM_RETURN_IF_ERROR(ReadU64(obj, "sim_events", &r->sim_events));
-
-  auto fault = Field(obj, "fault");
-  EMSIM_RETURN_IF_ERROR(fault.status());
-  EMSIM_RETURN_IF_ERROR(ReadBool(**fault, "injection_enabled", &r->fault.injection_enabled));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "media_errors", &r->fault.media_errors));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "latency_spikes", &r->fault.latency_spikes));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "timeouts", &r->fault.timeouts));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "retries", &r->fault.retries));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "dropped_requests", &r->fault.dropped_requests));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "permanent_failures", &r->fault.permanent_failures));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "degraded_plans", &r->fault.degraded_plans));
-  EMSIM_RETURN_IF_ERROR(ReadU64(**fault, "quarantine_events", &r->fault.quarantine_events));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(**fault, "backoff_ms", &r->fault.backoff_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(**fault, "fail_stop_ms", &r->fault.fail_stop_ms));
-  EMSIM_RETURN_IF_ERROR(ReadDouble(**fault, "quarantine_ms", &r->fault.quarantine_ms));
-
-  auto per_disk = Field(obj, "per_disk");
-  EMSIM_RETURN_IF_ERROR(per_disk.status());
-  if ((*per_disk)->kind != JsonNode::Kind::kArray) {
-    return Status::Corruption("shard artifact: 'per_disk' is not an array");
-  }
-  r->per_disk.reserve(CountItems(**per_disk));
-  for (const JsonNode& entry : (*per_disk)->children()) {
-    disk::DiskUtilization u;
-    EMSIM_RETURN_IF_ERROR(ReadInt(entry, "id", &u.id));
-    EMSIM_RETURN_IF_ERROR(ReadDouble(entry, "busy_fraction", &u.busy_fraction));
-    EMSIM_RETURN_IF_ERROR(ReadDouble(entry, "mean_queue_length", &u.mean_queue_length));
-    auto stats = Field(entry, "stats");
-    EMSIM_RETURN_IF_ERROR(stats.status());
-    EMSIM_RETURN_IF_ERROR(ReadDiskStats(**stats, &u.stats));
-    r->per_disk.push_back(u);
+  template <typename S>
+  void Array(const char* key, std::vector<S>& items) {
+    const JsonNode* node = Find(key);
+    if (node == nullptr) {
+      return;
+    }
+    if (node->kind != JsonNode::Kind::kArray) {
+      status_ = Status::Corruption(StrFormat("shard artifact: '%s' is not an array", key));
+      return;
+    }
+    items.reserve(CountItems(*node));
+    for (const JsonNode& entry : node->children()) {
+      ReadInto(entry, items.emplace_back());
+    }
   }
 
-  auto metrics = Field(obj, "metrics");
-  EMSIM_RETURN_IF_ERROR(metrics.status());
-  if ((*metrics)->kind != JsonNode::Kind::kArray) {
-    return Status::Corruption("shard artifact: 'metrics' is not an array");
+  /// Reads the members of `obj` into `s`.
+  template <typename S>
+  void ReadInto(const JsonNode& obj, S& s) {
+    const JsonNode* outer = obj_;
+    obj_ = &obj;
+    core::VisitFields(s, *this);
+    obj_ = outer;
   }
-  r->metrics.reserve(CountItems(**metrics));
-  for (const JsonNode& entry : (*metrics)->children()) {
-    obs::MetricsRegistry::Sample sample;
-    EMSIM_RETURN_IF_ERROR(ReadString(entry, "name", &sample.name));
-    EMSIM_RETURN_IF_ERROR(ReadDouble(entry, "value", &sample.value));
-    r->metrics.push_back(std::move(sample));
+
+ private:
+  /// Member `key` of the current object; nullptr once the walk has failed.
+  const JsonNode* Find(const char* key) {
+    if (!status_.ok()) {
+      return nullptr;
+    }
+    auto member = Member(*obj_, key);
+    status_ = member.status();
+    return member.ok() ? *member : nullptr;
   }
-  return Status::OK();
-}
+
+  const JsonNode* obj_ = nullptr;
+  Status status_;
+};
 
 Result<StatusCode> ParseStatusCodeName(const std::string& name) {
   static constexpr StatusCode kCodes[] = {
@@ -500,7 +309,7 @@ std::string EncodeShardArtifact(const ShardArtifact& artifact) {
     w.Field("ok", task.ok);
     if (task.ok) {
       w.Key("result");
-      WriteMergeResult(w, task.result);
+      core::JsonFieldWriter(w).Write(task.result);
     } else {
       w.Field("error_code", StatusCodeName(task.error.code()));
       w.Field("error_message", task.error.message());
@@ -520,22 +329,22 @@ Result<ShardArtifact> DecodeShardArtifact(std::string_view text) {
   }
   const JsonNode& doc = parsed->root();
   int version = 0;
-  EMSIM_RETURN_IF_ERROR(ReadInt(doc, "shard_schema_version", &version));
+  EMSIM_RETURN_IF_ERROR(Read(doc, "shard_schema_version", &version));
   if (version != kShardSchemaVersion) {
     return Status::Corruption(
         StrFormat("shard artifact: schema version %d, expected %d", version,
                   kShardSchemaVersion));
   }
   ShardArtifact artifact;
-  auto shard = Field(doc, "shard");
+  auto shard = Member(doc, "shard");
   EMSIM_RETURN_IF_ERROR(shard.status());
-  EMSIM_RETURN_IF_ERROR(ReadInt(**shard, "index", &artifact.shard_index));
-  EMSIM_RETURN_IF_ERROR(ReadInt(**shard, "count", &artifact.shard_count));
-  EMSIM_RETURN_IF_ERROR(ReadInt(**shard, "begin", &artifact.range.begin));
-  EMSIM_RETURN_IF_ERROR(ReadInt(**shard, "end", &artifact.range.end));
-  EMSIM_RETURN_IF_ERROR(ReadInt(**shard, "total_tasks", &artifact.total_tasks));
+  EMSIM_RETURN_IF_ERROR(Read(**shard, "index", &artifact.shard_index));
+  EMSIM_RETURN_IF_ERROR(Read(**shard, "count", &artifact.shard_count));
+  EMSIM_RETURN_IF_ERROR(Read(**shard, "begin", &artifact.range.begin));
+  EMSIM_RETURN_IF_ERROR(Read(**shard, "end", &artifact.range.end));
+  EMSIM_RETURN_IF_ERROR(Read(**shard, "total_tasks", &artifact.total_tasks));
   std::string digest_hex;
-  EMSIM_RETURN_IF_ERROR(ReadString(**shard, "spec_digest", &digest_hex));
+  EMSIM_RETURN_IF_ERROR(Read(**shard, "spec_digest", &digest_hex));
   char* end = nullptr;
   artifact.spec_digest = std::strtoull(digest_hex.c_str(), &end, 16);
   if (digest_hex.empty() || end != digest_hex.c_str() + digest_hex.size()) {
@@ -548,7 +357,7 @@ Result<ShardArtifact> DecodeShardArtifact(std::string_view text) {
     return Status::Corruption("shard artifact: inconsistent shard header");
   }
 
-  auto tasks = Field(doc, "tasks");
+  auto tasks = Member(doc, "tasks");
   EMSIM_RETURN_IF_ERROR(tasks.status());
   if ((*tasks)->kind != JsonNode::Kind::kArray) {
     return Status::Corruption("shard artifact: 'tasks' is not an array");
@@ -556,17 +365,19 @@ Result<ShardArtifact> DecodeShardArtifact(std::string_view text) {
   artifact.tasks.reserve(CountItems(**tasks));
   for (const JsonNode& entry : (*tasks)->children()) {
     ShardTask task;
-    EMSIM_RETURN_IF_ERROR(ReadInt(entry, "task", &task.task));
-    EMSIM_RETURN_IF_ERROR(ReadBool(entry, "ok", &task.ok));
+    EMSIM_RETURN_IF_ERROR(Read(entry, "task", &task.task));
+    EMSIM_RETURN_IF_ERROR(Read(entry, "ok", &task.ok));
     if (task.ok) {
-      auto result = Field(entry, "result");
+      auto result = Member(entry, "result");
       EMSIM_RETURN_IF_ERROR(result.status());
-      EMSIM_RETURN_IF_ERROR(ReadMergeResult(**result, &task.result));
+      FieldReader reader;
+      reader.ReadInto(**result, task.result);
+      EMSIM_RETURN_IF_ERROR(reader.status());
     } else {
       std::string code_name;
       std::string message;
-      EMSIM_RETURN_IF_ERROR(ReadString(entry, "error_code", &code_name));
-      EMSIM_RETURN_IF_ERROR(ReadString(entry, "error_message", &message));
+      EMSIM_RETURN_IF_ERROR(Read(entry, "error_code", &code_name));
+      EMSIM_RETURN_IF_ERROR(Read(entry, "error_message", &message));
       Result<StatusCode> code = ParseStatusCodeName(code_name);
       if (!code.ok()) {
         return code.status();

@@ -1,5 +1,6 @@
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/merge_simulator.h"
+#include "core/result_fields.h"
 #include "disk/layout.h"
 #include "util/status.h"
 #include "workload/depletion_generator.h"
@@ -495,8 +497,7 @@ TEST(ExperimentTest, ParallelTrialsMatchSerialExactly) {
   auto parallel = RunTrials(cfg, 6, 3);
   ASSERT_EQ(parallel.trials.size(), serial.trials.size());
   for (size_t t = 0; t < serial.trials.size(); ++t) {
-    EXPECT_DOUBLE_EQ(parallel.trials[t].total_ms, serial.trials[t].total_ms) << t;
-    EXPECT_EQ(parallel.trials[t].sim_events, serial.trials[t].sim_events) << t;
+    EXPECT_EQ(DiffFields(serial.trials[t], parallel.trials[t]), std::vector<std::string>{}) << t;
   }
   EXPECT_DOUBLE_EQ(parallel.total_ms.Mean(), serial.total_ms.Mean());
   EXPECT_DOUBLE_EQ(parallel.total_ms.Variance(), serial.total_ms.Variance());

@@ -18,9 +18,8 @@
 #include "core/experiment.h"
 #include "core/merge_simulator.h"
 #include "core/result.h"
-#include "core/result_json.h"
+#include "core/result_fields.h"
 #include "disk/layout.h"
-#include "stats/json_writer.h"
 
 namespace emsim::core {
 namespace {
@@ -165,15 +164,8 @@ INSTANTIATE_TEST_SUITE_P(PaperGrid, AnalyticAgreement,
 
 // Metamorphic relations of the model: two configurations that the model
 // says are the same merge must give the same answer. Exact relations compare
-// every exported field of one trial; distributional ones compare trial
+// every field of one trial (DiffFields); distributional ones compare trial
 // samples drawn across seeds.
-
-/// Every exported field of a trial, as the JSON export writes it.
-std::string ExportedFields(const MergeResult& result) {
-  stats::JsonWriter w;
-  WriteJson(w, result);
-  return w.Take();
-}
 
 /// Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
 /// empirical CDFs of `a` and `b`.
@@ -242,7 +234,7 @@ TEST_P(NoPrefetchAtDepthOne, SynchronizedEqualsUnsynchronized) {
   auto unsync = SimulateMerge(Config(SyncMode::kUnsynchronized));
   ASSERT_TRUE(sync.ok()) << sync.status().ToString();
   ASSERT_TRUE(unsync.ok()) << unsync.status().ToString();
-  EXPECT_EQ(ExportedFields(*sync), ExportedFields(*unsync));
+  EXPECT_EQ(DiffFields(*sync, *unsync), std::vector<std::string>{});
   EXPECT_EQ(unsync->disk_totals.blocks_transferred, unsync->disk_totals.requests);
 }
 
@@ -253,7 +245,7 @@ TEST_P(NoPrefetchAtDepthOne, CacheBeyondOneBlockPerRunIsUnused) {
   auto roomy = SimulateMerge(cfg);
   ASSERT_TRUE(tight.ok()) << tight.status().ToString();
   ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
-  EXPECT_EQ(ExportedFields(*tight), ExportedFields(*roomy));
+  EXPECT_EQ(DiffFields(*tight, *roomy), std::vector<std::string>{});
   EXPECT_LE(roomy->cache_stats.peak_occupancy, cfg.num_runs);
 }
 
@@ -375,7 +367,7 @@ class InterEqualsIntraOnOneDisk : public ::testing::TestWithParam<OneDiskPoint> 
     auto inter_result = SimulateMerge(inter);
     ASSERT_TRUE(intra_result.ok()) << intra_result.status().ToString();
     ASSERT_TRUE(inter_result.ok()) << inter_result.status().ToString();
-    EXPECT_EQ(ExportedFields(*intra_result), ExportedFields(*inter_result));
+    EXPECT_EQ(DiffFields(*intra_result, *inter_result), std::vector<std::string>{});
   }
 };
 

@@ -16,6 +16,7 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/result.h"
+#include "core/result_fields.h"
 #include "core/result_json.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -32,33 +33,14 @@ MergeConfig SmallConfig() {
   return cfg;
 }
 
-// EXPECT_EQ on doubles is exact comparison — deliberate: the contract is
+// Every field of every trial, through the field table; DiffFields and
+// EXPECT_EQ on doubles are exact comparisons — deliberate: the contract is
 // bit-identity, not closeness.
 void ExpectTrialsIdentical(const ExperimentResult& serial, const ExperimentResult& parallel) {
   ASSERT_EQ(parallel.trials.size(), serial.trials.size());
   for (size_t t = 0; t < serial.trials.size(); ++t) {
-    const MergeResult& a = serial.trials[t];
-    const MergeResult& b = parallel.trials[t];
-    EXPECT_EQ(b.total_ms, a.total_ms) << "trial " << t;
-    EXPECT_EQ(b.blocks_merged, a.blocks_merged) << "trial " << t;
-    EXPECT_EQ(b.io_operations, a.io_operations) << "trial " << t;
-    EXPECT_EQ(b.full_admissions, a.full_admissions) << "trial " << t;
-    EXPECT_EQ(b.demand_stalls, a.demand_stalls) << "trial " << t;
-    EXPECT_EQ(b.cache_hits, a.cache_hits) << "trial " << t;
-    EXPECT_EQ(b.avg_concurrency, a.avg_concurrency) << "trial " << t;
-    EXPECT_EQ(b.mean_cache_occupancy, a.mean_cache_occupancy) << "trial " << t;
-    EXPECT_EQ(b.sim_events, a.sim_events) << "trial " << t;
-    ASSERT_EQ(b.per_disk.size(), a.per_disk.size()) << "trial " << t;
-    for (size_t d = 0; d < a.per_disk.size(); ++d) {
-      EXPECT_EQ(b.per_disk[d].busy_fraction, a.per_disk[d].busy_fraction)
-          << "trial " << t << " disk " << d;
-    }
-    ASSERT_EQ(b.metrics.size(), a.metrics.size()) << "trial " << t;
-    for (size_t m = 0; m < a.metrics.size(); ++m) {
-      EXPECT_EQ(b.metrics[m].name, a.metrics[m].name) << "trial " << t;
-      EXPECT_EQ(b.metrics[m].value, a.metrics[m].value)
-          << "trial " << t << " metric " << a.metrics[m].name;
-    }
+    EXPECT_EQ(DiffFields(serial.trials[t], parallel.trials[t]), std::vector<std::string>{})
+        << "trial " << t;
   }
   EXPECT_EQ(parallel.total_ms.Mean(), serial.total_ms.Mean());
   EXPECT_EQ(parallel.total_ms.Variance(), serial.total_ms.Variance());

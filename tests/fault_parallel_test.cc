@@ -4,12 +4,14 @@
 // count (the TSan `thread` CI job runs this suite).
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/config.h"
 #include "core/experiment.h"
+#include "core/result_fields.h"
 #include "fault/fault_plan.h"
 #include "util/status.h"
 
@@ -34,12 +36,7 @@ TEST(FaultParallelTest, ParallelTrialsBitIdenticalToSerial) {
     ExperimentResult parallel = RunTrials(cfg, 6, threads);
     ASSERT_EQ(parallel.trials.size(), serial.trials.size()) << threads;
     for (size_t t = 0; t < serial.trials.size(); ++t) {
-      EXPECT_DOUBLE_EQ(parallel.trials[t].total_ms, serial.trials[t].total_ms)
-          << "threads=" << threads << " trial=" << t;
-      EXPECT_EQ(parallel.trials[t].fault.media_errors,
-                serial.trials[t].fault.media_errors)
-          << "threads=" << threads << " trial=" << t;
-      EXPECT_EQ(parallel.trials[t].fault.retries, serial.trials[t].fault.retries)
+      EXPECT_EQ(DiffFields(serial.trials[t], parallel.trials[t]), std::vector<std::string>{})
           << "threads=" << threads << " trial=" << t;
     }
     EXPECT_DOUBLE_EQ(parallel.total_ms.Mean(), serial.total_ms.Mean());
@@ -59,8 +56,10 @@ TEST(FaultParallelTest, SweepWithFaultPointsMatchesSerialPoints) {
   ExperimentResult serial_clean = RunTrials(clean, 3);
   ExperimentResult serial_faulty = RunTrials(faulty, 3);
   for (size_t t = 0; t < 3; ++t) {
-    EXPECT_DOUBLE_EQ(sweep[0].trials[t].total_ms, serial_clean.trials[t].total_ms);
-    EXPECT_DOUBLE_EQ(sweep[1].trials[t].total_ms, serial_faulty.trials[t].total_ms);
+    EXPECT_EQ(DiffFields(serial_clean.trials[t], sweep[0].trials[t]), std::vector<std::string>{})
+        << t;
+    EXPECT_EQ(DiffFields(serial_faulty.trials[t], sweep[1].trials[t]), std::vector<std::string>{})
+        << t;
     EXPECT_FALSE(sweep[0].trials[t].fault.injection_enabled);
     EXPECT_TRUE(sweep[1].trials[t].fault.injection_enabled);
   }
@@ -74,7 +73,7 @@ TEST(FaultParallelTest, DeadlinePlumbingIsHarmlessWhenGenerous) {
   deadline.max_wall_ms = 600'000.0;
   ExperimentResult bounded = RunTrials(cfg, 4, 4, deadline);
   for (size_t t = 0; t < 4; ++t) {
-    EXPECT_DOUBLE_EQ(bounded.trials[t].total_ms, unbounded.trials[t].total_ms) << t;
+    EXPECT_EQ(DiffFields(unbounded.trials[t], bounded.trials[t]), std::vector<std::string>{}) << t;
   }
 }
 

@@ -9,7 +9,8 @@
 
 #include "core/config.h"
 #include "core/merge_simulator.h"
-#include "sweep/shard.h"
+#include "core/result.h"
+#include "core/result_fields.h"
 
 namespace emsim::obs {
 namespace {
@@ -156,25 +157,20 @@ TEST(MergeMetricsTest, DisabledByDefaultButPerDiskAlwaysOn) {
   }
 }
 
-/// One trial's exact outcome: the shard-codec bytes of its result with the
-/// metric samples cleared. Every configuration below merges to completion.
-std::string TrialBytes(const core::MergeConfig& cfg) {
+/// One trial's outcome with the metric samples cleared. Every configuration
+/// below merges to completion.
+core::MergeResult TrialWithoutMetrics(const core::MergeConfig& cfg) {
   auto result = core::SimulateMerge(cfg);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) {
-    return result.status().ToString();
+    return core::MergeResult{};
   }
   result->metrics.clear();
-  sweep::ShardArtifact artifact;
-  artifact.shard_count = 1;
-  artifact.total_tasks = 1;
-  artifact.range = {0, 1};
-  artifact.tasks.push_back({0, true, *std::move(result), {}});
-  return sweep::EncodeShardArtifact(artifact);
+  return *std::move(result);
 }
 
 // With metrics off no layer holds an instrument; with them on every layer
-// does. The two must simulate the same trial, byte for byte, on every wait
+// does. The two must simulate the same trial, field for field, on every wait
 // path: both strategies and sync modes, both admission policies under a
 // tight cache, each write mode, and each fault kind.
 TEST(MergeMetricsTest, CollectionDoesNotPerturbTheSimulation) {
@@ -207,9 +203,9 @@ TEST(MergeMetricsTest, CollectionDoesNotPerturbTheSimulation) {
               cfg.fault.fail_slow_factor = 3.0;
             }
             SCOPED_TRACE(cfg.ToString());
-            const std::string off = TrialBytes(cfg);
+            const core::MergeResult off = TrialWithoutMetrics(cfg);
             cfg.collect_metrics = true;
-            EXPECT_EQ(TrialBytes(cfg), off);
+            EXPECT_EQ(core::DiffFields(off, TrialWithoutMetrics(cfg)), std::vector<std::string>{});
           }
         }
       }

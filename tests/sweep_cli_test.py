@@ -207,6 +207,28 @@ class SweepCliTest(unittest.TestCase):
                 self.assertIn("--shard must be k/N", proc.stderr)
                 self.assertFalse(os.path.exists(out))
 
+    def test_each_mode_rejects_the_arguments_of_the_others(self):
+        base = ["--runs", "4", "--disks", "2", "--blocks", "20", "--trials", "1"]
+        out = os.path.join(self.dir, "never_written.json")
+        cases = (
+            # Single-process mode: no artifact paths, no shard.
+            (["stray_arg.json", "--json", out], "'stray_arg.json'"),
+            (["--shard", "9/2", "--json", out], "--shard"),
+            (["--shard-out", out], "--shard-out"),
+            # Worker mode: no artifact paths.
+            (["--sweep-worker", "--shard", "0/2", "--shard-out", out, "stray_arg.json"],
+             "'stray_arg.json'"),
+            # Merge mode: no shard.
+            (["--sweep-merge", "s0.json", "--shard", "0/2", "--json", out], "--shard"),
+            (["--sweep-merge", "s0.json", "--shard-out", out, "--json", out], "--shard-out"),
+        )
+        for extra, named in cases:
+            with self.subTest(extra=extra):
+                proc = run_cli(base + extra, cwd=self.dir, check=False)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn(named, proc.stderr)
+                self.assertFalse(os.path.exists(out))
+
     def test_retired_sweep_driver_flag_is_unknown(self):
         proc = run_cli(["--spec", self.spec, "--sweep", "7"], cwd=self.dir,
                        check=False)

@@ -266,6 +266,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sweep-worker and --sweep-merge are exclusive\n");
     return 2;
   }
+  // Each mode refuses the arguments of the others rather than ignore them:
+  // only a merge takes positional artifact paths, only a worker a shard.
+  if (!sweep_merge && !flags.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument '%s' (only --sweep-merge takes artifact paths)\n",
+                 flags.positional().front().c_str());
+    return 2;
+  }
+  if (!sweep_worker && (!shard.empty() || !shard_out.empty())) {
+    std::fprintf(stderr, "%s is only valid with --sweep-worker\n",
+                 shard.empty() ? "--shard-out" : "--shard");
+    return 2;
+  }
 
   workload::ExperimentSpec cli_spec;
   cli_spec.name = "cli";
