@@ -280,16 +280,34 @@ void SetAllocCounter(benchmark::State& state, uint64_t heap_allocs_before) {
 // costs a sweep between its worker and the merge.
 void BM_ShardCodecRoundTrip(benchmark::State& state) {
   const sweep::ShardArtifact& artifact = EightyTaskArtifact().artifact;
+  int64_t sealed_bytes = 0;
   uint64_t allocs0 = HeapAllocs();
   for (auto _ : state) {
     std::string sealed = sweep::SealShardArtifact(sweep::EncodeShardArtifact(artifact));
     auto decoded = sweep::DecodeShardArtifact(*sweep::UnsealShardArtifact(sealed));
     benchmark::DoNotOptimize(decoded->tasks.size());
+    sealed_bytes = static_cast<int64_t>(sealed.size());
   }
   state.SetItemsProcessed(state.iterations() * 80);  // Tasks per op.
+  state.SetBytesProcessed(state.iterations() * sealed_bytes);
   SetAllocCounter(state, allocs0);
 }
 BENCHMARK(BM_ShardCodecRoundTrip);
+
+// Seal and unseal of the encoded 80-task artifact alone: the integrity
+// digest runs once each way, plus the payload copy Seal consumes.
+void BM_SealUnseal(benchmark::State& state) {
+  const std::string payload = sweep::EncodeShardArtifact(EightyTaskArtifact().artifact);
+  uint64_t allocs0 = HeapAllocs();
+  for (auto _ : state) {
+    std::string sealed = sweep::SealShardArtifact(payload);
+    auto unsealed = sweep::UnsealShardArtifact(sealed);
+    benchmark::DoNotOptimize(unsealed->size());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(payload.size()));
+  SetAllocCounter(state, allocs0);
+}
+BENCHMARK(BM_SealUnseal);
 
 // The --json export of the 80 trials' aggregate (per-trial results included).
 void BM_ExportJson(benchmark::State& state) {
@@ -300,12 +318,15 @@ void BM_ExportJson(benchmark::State& state) {
   }
   const core::ExperimentResult result = core::AggregateTrials(std::move(trials));
   const std::vector<core::NamedExperiment> named = {{"codec", fixture.config, &result}};
+  int64_t json_bytes = 0;
   uint64_t allocs0 = HeapAllocs();
   for (auto _ : state) {
     std::string json = core::ExperimentSetToJson(named);
     benchmark::DoNotOptimize(json.data());
+    json_bytes = static_cast<int64_t>(json.size());
   }
   state.SetItemsProcessed(state.iterations() * 80);  // Trials per op.
+  state.SetBytesProcessed(state.iterations() * json_bytes);
   SetAllocCounter(state, allocs0);
 }
 BENCHMARK(BM_ExportJson);

@@ -115,9 +115,12 @@ class Engine final : public disk::RequestSink {
     if (config.write_traffic != WriteTraffic::kNone) {
       write_drain_ = std::make_unique<sim::Signal>(&sim_);
       if (config.write_traffic == WriteTraffic::kSeparateDisks) {
+        // Write disks report under their own names: sharing "disk<i>.*"
+        // and "disk.requests" would fold their traffic into the read side's.
         write_disks_ = std::make_unique<disk::DiskArray>(
             &sim_, disk::DiskArray::Options{config.disk_params, config.num_write_disks,
-                                            config.seed ^ 0xBEEFCAFEULL});
+                                            config.seed ^ 0xBEEFCAFEULL, metrics_,
+                                            /*faults=*/nullptr, "write_disk"});
         write_next_block_.assign(static_cast<size_t>(config.num_write_disks), 0);
       } else {
         // Shared disks: output lands contiguously after each disk's runs.

@@ -7,6 +7,7 @@
 #include "sim/simulation.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace emsim::disk {
 
@@ -19,7 +20,7 @@ DiskArray::DiskArray(sim::Simulation* sim, const Options& options) : sim_(sim) {
     auto d = std::make_unique<Disk>(sim, options.params, i, seeder.Next64());
     d->SetBusyObserver(this);
     if (options.metrics != nullptr) {
-      d->AttachMetrics(options.metrics);
+      d->AttachMetrics(options.metrics, options.metric_prefix);
     }
     if (options.faults != nullptr) {
       d->SetFaultPlan(options.faults);
@@ -27,7 +28,8 @@ DiskArray::DiskArray(sim::Simulation* sim, const Options& options) : sim_(sim) {
     disks_.push_back(std::move(d));
   }
   if (options.metrics != nullptr) {
-    metric_concurrency_ = &options.metrics->GetTimeline("disks.concurrency");
+    metric_concurrency_ =
+        &options.metrics->GetTimeline(StrFormat("%ss.concurrency", options.metric_prefix));
     metric_concurrency_->Update(sim->Now(), 0.0);
   }
   concurrency_.Update(sim->Now(), 0.0);

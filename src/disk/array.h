@@ -26,12 +26,15 @@ class DiskArray : private BusyObserver {
     int num_disks = 5;
     uint64_t seed = 1;
     /// Optional metrics registry; wires per-disk busy/queue timelines, the
-    /// shared request counters, and the "disks.concurrency" timeline.
+    /// shared request counters, and the "<prefix>s.concurrency" timeline.
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional fault plan consulted by every disk on every request
     /// (nullptr keeps the fault-free paths byte-identical). Must outlive
     /// the array.
     fault::FaultPlan* faults = nullptr;
+    /// Metric name prefix ("disk" gives "disk0.busy", "disk.requests" and
+    /// "disks.concurrency"), so two arrays can share one registry.
+    const char* metric_prefix = "disk";
   };
 
   DiskArray(sim::Simulation* sim, const Options& options);

@@ -17,7 +17,7 @@ Disk::Disk(sim::Simulation* sim, const DiskParams& params, int id, uint64_t seed
   queue_timeline_.Update(sim->Now(), 0.0);
 }
 
-void Disk::AttachMetrics(obs::MetricsRegistry* metrics) {
+void Disk::AttachMetrics(obs::MetricsRegistry* metrics, const char* prefix) {
   if (metrics == nullptr) {
     metric_busy_ = nullptr;
     metric_queue_ = nullptr;
@@ -25,10 +25,10 @@ void Disk::AttachMetrics(obs::MetricsRegistry* metrics) {
     metric_blocks_ = nullptr;
     return;
   }
-  metric_busy_ = &metrics->GetTimeline(StrFormat("disk%d.busy", id_));
-  metric_queue_ = &metrics->GetTimeline(StrFormat("disk%d.queue_len", id_));
-  metric_requests_ = &metrics->GetCounter("disk.requests");
-  metric_blocks_ = &metrics->GetCounter("disk.blocks_transferred");
+  metric_busy_ = &metrics->GetTimeline(StrFormat("%s%d.busy", prefix, id_));
+  metric_queue_ = &metrics->GetTimeline(StrFormat("%s%d.queue_len", prefix, id_));
+  metric_requests_ = &metrics->GetCounter(StrFormat("%s.requests", prefix));
+  metric_blocks_ = &metrics->GetCounter(StrFormat("%s.blocks_transferred", prefix));
   metric_busy_->Update(sim_->Now(), busy_ ? 1.0 : 0.0);
   metric_queue_->Update(sim_->Now(), static_cast<double>(QueueLength()));
 }

@@ -186,9 +186,11 @@ class Disk {
   /// Utilization snapshot (flush first for end-of-run accuracy).
   DiskUtilization Utilization() const;
 
-  /// Registers this disk's timelines ("disk<i>.busy", "disk<i>.queue_len")
-  /// and request counters with `metrics`. Call before the simulation runs.
-  void AttachMetrics(obs::MetricsRegistry* metrics);
+  /// Registers this disk's timelines ("<prefix><i>.busy",
+  /// "<prefix><i>.queue_len") and request counters ("<prefix>.requests",
+  /// "<prefix>.blocks_transferred") with `metrics`. Call before the
+  /// simulation runs.
+  void AttachMetrics(obs::MetricsRegistry* metrics, const char* prefix);
 
   /// Attaches a fault plan consulted on every request (nullptr — the
   /// default — keeps the fault-free hot path untouched). The plan must

@@ -1,8 +1,11 @@
 #include "stats/json_writer.h"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <system_error>
 
 #include "util/check.h"
@@ -61,15 +64,11 @@ void AppendEscaped(std::string* out, std::string_view s) {
   out->append(s.data() + plain, s.size() - plain);
 }
 
-/// Appends the shortest of the "%.15g", "%.16g" and "%.17g" renderings of
-/// finite `v` that parses back to exactly `v`; "null" for non-finite values.
+/// The shortest of the "%.15g", "%.16g" and "%.17g" renderings of finite `v`
+/// that parses back to exactly `v`, found by trying each precision in turn.
 /// The standard specifies to_chars with a precision as if by the C printf
 /// family, so the bytes are exactly the C library's "%.*g" renderings.
-void AppendDouble(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
+void AppendDoubleByRoundTrip(std::string* out, double v) {
   char buf[kNumberBufSize];
   char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
@@ -81,6 +80,83 @@ void AppendDouble(std::string* out, double v) {
     }
   }
   out->append(buf, end);
+}
+
+/// Appends the bytes AppendDoubleByRoundTrip would, from one shortest
+/// conversion; "null" for non-finite values.
+///
+/// Let the shortest round-trip form of `v` have n significant digits and
+/// decimal exponent X. For a normal `v` its distance from `v` is at most
+/// half an ulp, 2^-53 * |v|, which is under half a unit in the 15th digit:
+/// so when n <= 15, "%.15g" rounds `v` to exactly those digits. When n is 16
+/// or 17, no shorter precision round-trips, and the shortest form (the
+/// closest n-digit decimal inside the rounding interval) is the correctly
+/// rounded "%.{n}g". Either way the answer is the shortest digits laid out
+/// by the %g rules at precision P = max(15, n): scientific when X < -4 or
+/// X >= P, fixed otherwise, trailing zeros dropped. The argument needs a
+/// rounding interval symmetric about `v` and at least 2^-53 * |v| wide on
+/// either side. Subnormals lack the width and exact powers of two (whose
+/// interval below is half as wide) the symmetry, so subnormals, and powers
+/// of two with n >= 16, take the round-trip loop.
+void AppendDouble(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
+  }
+  // "[-]d[.ddd]e<sign><two or three digits>" -- already the %g scientific
+  // layout, since the shortest digits carry no trailing zeros.
+  char sci[kNumberBufSize];
+  char* const sci_end =
+      std::to_chars(sci, sci + sizeof sci, v, std::chars_format::scientific).ptr;
+  const char* p = sci;
+  const bool negative = *p == '-';
+  p += negative ? 1 : 0;
+  char digits[17];
+  int n = 0;
+  digits[n++] = *p++;
+  if (*p == '.') {
+    for (++p; *p != 'e'; ++p) {
+      digits[n++] = *p;
+    }
+  }
+  const bool negative_exp = p[1] == '-';
+  int exp10 = 0;
+  for (p += 2; p < sci_end; ++p) {
+    exp10 = 10 * exp10 + (*p - '0');
+  }
+  exp10 = negative_exp ? -exp10 : exp10;
+
+  constexpr uint64_t kMantissaMask = (uint64_t{1} << 52) - 1;
+  const bool power_of_two = (std::bit_cast<uint64_t>(v) & kMantissaMask) == 0;
+  if (std::fpclassify(v) == FP_SUBNORMAL || (power_of_two && n >= 16)) {
+    AppendDoubleByRoundTrip(out, v);
+    return;
+  }
+  const int precision = std::max(15, n);
+  if (exp10 < -4 || exp10 >= precision) {
+    out->append(sci, sci_end);
+    return;
+  }
+  // Fixed: at most a sign, "0.0000" and 17 digits, or 17 integer digits.
+  char buf[kNumberBufSize];
+  char* w = buf;
+  if (negative) {
+    *w++ = '-';
+  }
+  if (exp10 < 0) {
+    *w++ = '0';
+    *w++ = '.';
+    w = std::fill_n(w, -exp10 - 1, '0');
+    w = std::copy(digits, digits + n, w);
+  } else if (n <= exp10 + 1) {
+    w = std::copy(digits, digits + n, w);
+    w = std::fill_n(w, exp10 + 1 - n, '0');
+  } else {
+    w = std::copy(digits, digits + exp10 + 1, w);
+    *w++ = '.';
+    w = std::copy(digits + exp10 + 1, digits + n, w);
+  }
+  out->append(buf, w);
 }
 
 template <typename Int>

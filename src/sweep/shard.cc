@@ -1,10 +1,12 @@
 #include "sweep/shard.h"
 
+#include <bit>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -166,21 +168,50 @@ Result<StatusCode> ParseStatusCodeName(const std::string& name) {
   return Status::Corruption(StrFormat("shard artifact: unknown status code '%s'", name.c_str()));
 }
 
+constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
 }  // namespace
 
 uint64_t Fnv1aDigest(std::string_view bytes) {
-  uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis.
+  uint64_t hash = kFnvOffsetBasis;
   for (unsigned char c : bytes) {
     hash ^= c;
-    hash *= 1099511628211ULL;  // FNV prime.
+    hash *= kFnvPrime;
   }
   return hash;
 }
 
 namespace {
 
+/// FNV-1a stepped a little-endian 64-bit word at a time, then byte by byte
+/// over the last size % 8 bytes. Each step h = (h ^ w) * prime is a
+/// bijection of h, so a change confined to one word always changes the
+/// digest.
+uint64_t Fnv1aWordDigest(std::string_view bytes) {
+  uint64_t hash = kFnvOffsetBasis;
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= bytes.size(); i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, bytes.data() + i, sizeof word);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    hash = (hash ^ word) * kFnvPrime;
+  }
+  for (; i < bytes.size(); ++i) {
+    hash = (hash ^ static_cast<unsigned char>(bytes[i])) * kFnvPrime;
+  }
+  return hash;
+}
+
+constexpr std::string_view kFooterMarker = "#emsim-shard-footer ";
+// The marker, " v2 len=", a 20-digit length, " fnv1a64w=", 16 hex digits
+// and the newline fit in this many bytes.
+constexpr size_t kFooterCapacity = 80;
+
 std::string FooterLine(size_t payload_size, uint64_t digest) {
-  return StrFormat("#emsim-shard-footer v1 len=%llu fnv1a=%016llx\n",
+  return StrFormat("#emsim-shard-footer v2 len=%llu fnv1a64w=%016llx\n",
                    static_cast<unsigned long long>(payload_size),
                    static_cast<unsigned long long>(digest));
 }
@@ -188,25 +219,35 @@ std::string FooterLine(size_t payload_size, uint64_t digest) {
 }  // namespace
 
 std::string SealShardArtifact(std::string payload) {
+  // One reservation for the newline and the footer, so appending them never
+  // grows the buffer by doubling it.
+  payload.reserve(payload.size() + 1 + kFooterCapacity);
   if (payload.empty() || payload.back() != '\n') {
     payload.push_back('\n');
   }
-  payload += FooterLine(payload.size(), Fnv1aDigest(payload));
+  payload += FooterLine(payload.size(), Fnv1aWordDigest(payload));
   return payload;
 }
 
 Result<std::string_view> UnsealShardArtifact(std::string_view file_contents) {
-  constexpr std::string_view kMarker = "#emsim-shard-footer ";
-  size_t pos = file_contents.rfind(kMarker);
+  size_t pos = file_contents.rfind(kFooterMarker);
   if (pos == std::string_view::npos || (pos != 0 && file_contents[pos - 1] != '\n')) {
     return Status::Corruption(
         "shard artifact: integrity footer missing (truncated or pre-footer file?)");
   }
   std::string_view footer = file_contents.substr(pos);
+  std::string_view version = footer.substr(kFooterMarker.size());
+  version = version.substr(0, version.find_first_of(" \n"));
+  if (version != "v2") {
+    return Status::Corruption(
+        StrFormat("shard artifact: integrity footer version '%.*s' is not v2 — "
+                  "re-run the worker that wrote it",
+                  static_cast<int>(version.size()), version.data()));
+  }
   unsigned long long len = 0;
   char digest_hex[17] = {0};
   if (std::sscanf(std::string(footer).c_str(),
-                  "#emsim-shard-footer v1 len=%llu fnv1a=%16[0-9a-f]", &len,
+                  "#emsim-shard-footer v2 len=%llu fnv1a64w=%16[0-9a-f]", &len,
                   digest_hex) != 2 ||
       footer != FooterLine(len, std::strtoull(digest_hex, nullptr, 16))) {
     return Status::Corruption("shard artifact: malformed integrity footer");
@@ -219,7 +260,7 @@ Result<std::string_view> UnsealShardArtifact(std::string_view file_contents) {
                   payload.size(), len));
   }
   uint64_t want = std::strtoull(digest_hex, nullptr, 16);
-  uint64_t got = Fnv1aDigest(payload);
+  uint64_t got = Fnv1aWordDigest(payload);
   if (got != want) {
     return Status::Corruption(
         StrFormat("shard artifact: content digest %016llx does not match footer %016llx — "

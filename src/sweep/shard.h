@@ -18,22 +18,27 @@ namespace emsim::sweep {
 /// human-facing export.
 inline constexpr int kShardSchemaVersion = 1;
 
-/// FNV-1a over raw bytes — the digest the artifact integrity footer records.
+/// FNV-1a over raw bytes, one byte per step: the digest of spec renderings
+/// (SpecDigest) and of exported documents.
 uint64_t Fnv1aDigest(std::string_view bytes);
 
 /// Appends the integrity footer to an encoded artifact payload:
 ///
-///     #emsim-shard-footer v1 len=<payload bytes> fnv1a=<16-hex digest>
+///     #emsim-shard-footer v2 len=<payload bytes> fnv1a64w=<16-hex digest>
 ///
-/// The footer makes every artifact file self-verifying: a truncated write
-/// loses the footer, a truncated or bit-flipped payload disagrees with the
-/// recorded length/digest. UnsealShardArtifact refuses both, naming the
-/// failure, so the merge never trusts a torn file.
+/// The digest is FNV-1a stepped over the payload as little-endian 64-bit
+/// words (same offset basis and prime as Fnv1aDigest), with the last
+/// size % 8 bytes folded in one at a time; any change confined to one word
+/// changes it. The footer makes every artifact file self-verifying: a
+/// truncated write loses the footer, a truncated or bit-flipped payload
+/// disagrees with the recorded length/digest. UnsealShardArtifact refuses
+/// both, naming the failure, so the merge never trusts a torn file.
 std::string SealShardArtifact(std::string payload);
 
 /// Verifies and strips the integrity footer; returns the payload, a view
 /// into `file_contents`. Errors are kCorruption and name the defect
-/// (missing footer / length mismatch / digest mismatch).
+/// (missing footer / footer version other than v2 / length mismatch /
+/// digest mismatch).
 Result<std::string_view> UnsealShardArtifact(std::string_view file_contents);
 
 /// A contiguous half-open slice [begin, end) of a SweepGrid's global task

@@ -99,8 +99,20 @@ TEST(JsonFormatDoubleTest, MatchesPrintfStrtodOnEdgeCases) {
   for (uint64_t bits : subnormal_bits) {
     cases.push_back(FromBits(bits));
   }
-  for (int e = -1074; e <= 1023; ++e) {  // Every power of two.
-    cases.push_back(std::ldexp(1.0, e));
+  // Every power of two and both its neighbours: powers of two with 16 or
+  // more shortest digits take the writer's precision loop, their neighbours
+  // its one-conversion path.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    cases.push_back(p);
+    cases.push_back(std::nextafter(p, 0.0));
+    cases.push_back(std::nextafter(p, 1e300));
+  }
+  // Decimal grids: short fixed and scientific forms, and the %g switch at
+  // exponent -5.
+  for (int k = 1; k <= 200'000; ++k) {
+    cases.push_back(k / 1000.0);
+    cases.push_back(k * 1e-5);
   }
   // 1e15-1e17, where %.15g stops being exact for integers: the decades, their
   // neighbours, and values stepping across the range.

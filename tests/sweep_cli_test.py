@@ -13,11 +13,14 @@ docs/SWEEPS.md:
     single-process run both exit 1 with the same lowest-index failure;
   * invalid flag values (--trials 0, a nan number, an int out of range, a
     malformed --shard) exit 2 with a message naming the flag, never a
-    CHECK abort, and the retired --sweep driver flag is unknown.
+    CHECK abort, and the retired --sweep driver flag is unknown;
+  * with separate write disks, --metrics exports their timelines under
+    write_disk* names and leaves every read-side sample as it was.
 
 Usage: sweep_cli_test.py <path-to-emsim_cli>
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -228,6 +231,49 @@ class SweepCliTest(unittest.TestCase):
                 self.assertEqual(proc.returncode, 2, proc.stderr)
                 self.assertIn(named, proc.stderr)
                 self.assertFalse(os.path.exists(out))
+
+    def test_separate_write_disks_export_their_own_timelines(self):
+        flags = ["--runs", "6", "--disks", "2", "--n", "2", "--trials", "1"]
+
+        def trial(args):
+            doc = json.loads(run_cli(args + ["--metrics", "--json", "-"],
+                                     cwd=self.dir).stdout)
+            return doc["experiments"][0]["result"]["per_trial"][0]
+
+        two_writers = os.path.join(self.dir, "writers.ini")
+        with open(two_writers, "w", encoding="utf-8") as f:
+            f.write("runs = 6\ndisks = 2\nn = 2\ntrials = 1\n"
+                    "[w]\nwrite_traffic = separate\nwrite_disks = 2\n")
+        no_writes = trial(flags)
+        for args, writers in ((flags + ["--write_traffic", "separate"], 1),
+                              (["--spec", two_writers], 2)):
+            with self.subTest(writers=writers):
+                t = trial(args)
+                m = t["metrics"]
+                write_keys = {k for k in m if k.startswith("write_disk")}
+                want = {"write_disk.requests", "write_disk.blocks_transferred"}
+                for i in range(writers):
+                    for line in ("busy", "queue_len"):
+                        want |= {f"write_disk{i}.{line}.{stat}"
+                                 for stat in ("active_ms", "avg", "avg_active")}
+                want |= {f"write_disks.concurrency.{stat}"
+                         for stat in ("active_ms", "avg", "avg_active")}
+                self.assertEqual(write_keys, want)
+                self.assertEqual(m["write_disk.requests"], t["writes"]["requests"])
+                self.assertEqual(m["write_disk.blocks_transferred"],
+                                 t["writes"]["blocks"])
+                # The read side exports the same samples as without writes,
+                # each still equal to the read disks' own statistics.
+                self.assertEqual(set(m) - write_keys, set(no_writes["metrics"]))
+                self.assertEqual(m["disk.requests"], t["disk_totals"]["requests"])
+                self.assertEqual(m["disk.blocks_transferred"],
+                                 t["disk_totals"]["blocks_transferred"])
+                for d in t["per_disk"]:
+                    self.assertEqual(m[f"disk{d['id']}.busy.avg"], d["busy_fraction"])
+                    self.assertEqual(m[f"disk{d['id']}.queue_len.avg"],
+                                     d["mean_queue_length"])
+                self.assertEqual(m["disks.concurrency.avg_active"],
+                                 t["avg_concurrency"])
 
     def test_retired_sweep_driver_flag_is_unknown(self):
         proc = run_cli(["--spec", self.spec, "--sweep", "7"], cwd=self.dir,

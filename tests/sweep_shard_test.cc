@@ -642,10 +642,45 @@ TEST(ArtifactSealTest, SealThenUnsealIsIdentity) {
   std::string payload = "{\"doc\": 1}\n";
   std::string sealed = SealShardArtifact(payload);
   ASSERT_GT(sealed.size(), payload.size());
-  EXPECT_NE(sealed.find("#emsim-shard-footer v1 "), std::string::npos);
+  // One little-endian word ("{\"doc\": ") then three tail bytes, hashed with
+  // the FNV-1a basis and prime.
+  EXPECT_EQ(sealed.substr(payload.size()),
+            "#emsim-shard-footer v2 len=11 fnv1a64w=97f25fa6a1d4132a\n");
   auto unsealed = UnsealShardArtifact(sealed);
   ASSERT_TRUE(unsealed.ok()) << unsealed.status().ToString();
   EXPECT_EQ(*unsealed, payload);
+}
+
+TEST(ArtifactSealTest, VersionOneFooterIsRejectedByVersion) {
+  // A well-formed artifact as the byte-wise v1 seal wrote it.
+  const std::string payload = "{\"doc\": 1}\n";
+  const std::string v1 =
+      payload + StrFormat("#emsim-shard-footer v1 len=%zu fnv1a=%016llx\n", payload.size(),
+                          static_cast<unsigned long long>(Fnv1aDigest(payload)));
+  auto unsealed = UnsealShardArtifact(v1);
+  ASSERT_FALSE(unsealed.ok());
+  EXPECT_EQ(unsealed.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(unsealed.status().message().find("footer version 'v1'"), std::string::npos)
+      << unsealed.status().ToString();
+}
+
+TEST(ArtifactSealTest, OneBitFlipInAnyWordIsDetected) {
+  // Five whole 8-byte words and a 2-byte tail.
+  const std::string payload = "{\"shard\": 3, \"tasks\": [1, 2, 3, 4, 5, 6]}\n";
+  ASSERT_EQ(payload.size(), 42u);
+  const std::string sealed = SealShardArtifact(payload);
+  // Every byte but the final newline, whose flip unmoors the footer from
+  // its line start (FooterMarkerMustStartALine covers that).
+  for (size_t byte = 0; byte + 1 < payload.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = sealed;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      auto unsealed = UnsealShardArtifact(flipped);
+      ASSERT_FALSE(unsealed.ok()) << "byte " << byte << " bit " << bit;
+      EXPECT_NE(unsealed.status().message().find("does not match footer"), std::string::npos)
+          << "byte " << byte << " bit " << bit << ": " << unsealed.status().ToString();
+    }
+  }
 }
 
 TEST(ArtifactSealTest, SealAppendsMissingTrailingNewline) {
@@ -685,7 +720,7 @@ TEST(ArtifactSealTest, BitFlipUnderStaleFooterIsDetected) {
 
 TEST(ArtifactSealTest, MangledFooterIsDetected) {
   std::string sealed = SealShardArtifact("payload\n");
-  sealed.replace(sealed.find("fnv1a="), 6, "fnv1x=");
+  sealed.replace(sealed.find("fnv1a64w="), 9, "fnv1x64w=");
   auto unsealed = UnsealShardArtifact(sealed);
   ASSERT_FALSE(unsealed.ok());
   EXPECT_EQ(unsealed.status().code(), StatusCode::kCorruption);
