@@ -55,6 +55,8 @@ class MarkovPrefetchModel {
   };
 
   Solution Solve(Policy policy) const;
+  /// Solve's result for `policy`, computed once.
+  const Solution& Solved(Policy policy) const;
 
   int d_;
   int c_;

@@ -1,12 +1,16 @@
 #include "sweep/shard.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -14,7 +18,6 @@
 
 #include "core/result_fields.h"
 #include "stats/json_writer.h"
-#include "sweep/json_value.h"
 #include "util/check.h"
 #include "util/str.h"
 
@@ -22,132 +25,338 @@ namespace emsim::sweep {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Decode helpers
-// ---------------------------------------------------------------------------
+/// One number token: its double value and, when it has no '.', 'e' or 'E',
+/// its exact magnitude, so every integer and double the encoder writes
+/// reads back bit for bit.
+struct Number {
+  bool integral = true;
+  bool negative = false;
+  uint64_t magnitude = 0;
+  double value = 0.0;
+};
 
-Result<const JsonNode*> Member(const JsonNode& obj, const char* key) {
-  const JsonNode* v = obj.Find(key);
-  if (v == nullptr) {
-    return Status::Corruption(StrFormat("shard artifact: missing field '%s'", key));
-  }
-  return v;
-}
-
-size_t CountItems(const JsonNode& array) {
-  size_t count = 0;
-  for ([[maybe_unused]] const JsonNode& item : array.children()) {
-    ++count;
-  }
-  return count;
-}
-
-/// Reads member `key` of `obj` into `*out`, refusing a value that does not
-/// fit the type of `*out`: bool, std::string, double, an unsigned integer
-/// (a u64 on the wire), int64_t or int.
-template <typename T>
-Status Read(const JsonNode& obj, const char* key, T* out) {
-  auto member = Member(obj, key);
-  EMSIM_RETURN_IF_ERROR(member.status());
-  const JsonNode& v = **member;
-  auto refuse = [key](const char* defect) {
-    return Status::Corruption(StrFormat("shard artifact: '%s' %s", key, defect));
-  };
-  if constexpr (std::is_same_v<T, bool>) {
-    if (v.kind != JsonNode::Kind::kBool) {
-      return refuse("is not a bool");
-    }
-    *out = v.bool_value;
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    if (v.kind != JsonNode::Kind::kString) {
-      return refuse("is not a string");
-    }
-    out->assign(v.string);
-  } else if constexpr (std::is_same_v<T, double>) {
-    if (v.kind != JsonNode::Kind::kNumber) {
-      return refuse("is not a number");
-    }
-    *out = v.number;
-  } else if constexpr (std::is_unsigned_v<T>) {
-    if (v.kind != JsonNode::Kind::kNumber || !v.is_integral || v.is_negative) {
-      return refuse("is not a u64");
-    }
-    *out = static_cast<T>(v.magnitude);
-  } else {
-    static_assert(std::is_same_v<T, int64_t> || std::is_same_v<T, int>);
-    if (v.kind != JsonNode::Kind::kNumber || !v.is_integral) {
-      return refuse("is not an integer");
-    }
-    // |INT64_MIN| is INT64_MAX + 1.
-    if (v.magnitude > static_cast<uint64_t>(INT64_MAX) + (v.is_negative ? 1 : 0)) {
-      return refuse("out of range");
-    }
-    int64_t value = static_cast<int64_t>(v.is_negative ? 0 - v.magnitude : v.magnitude);
-    if constexpr (std::is_same_v<T, int>) {
-      if (value < INT32_MIN || value > INT32_MAX) {
-        return refuse("out of int range");
-      }
-    }
-    *out = static_cast<T>(value);
-  }
-  return Status::OK();
-}
-
-/// Reads the fields the table visits into a struct, through Read; the first
-/// error stops the walk.
-class FieldReader {
+/// Reads a shard artifact front to back, in the order the encoder wrote it.
+/// It is the field table's decode visitor (core/result_fields.h): Field,
+/// Object and Array each step onto the next member, refuse a member of
+/// another name as missing, and read its value by the leaf's type.
+/// Whitespace may separate tokens; anything else the encoder would not
+/// write, such as a reordered, unknown or duplicate member, is refused. The
+/// first error stops the walk, and every later step does nothing.
+class ArtifactReader {
  public:
+  explicit ArtifactReader(std::string_view text) : text_(text) {}
+
+  bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
+
+  /// Stops the walk with `status` unless an earlier error stopped it.
+  void Fail(Status status) {
+    if (status_.ok()) {
+      status_ = std::move(status);
+    }
+  }
+
+  /// Steps past the comma before the member (unless it is its object's
+  /// first), the member's name, which must be `key`, and the colon.
+  bool Member(const char* key) {
+    if (!ok()) {
+      return false;
+    }
+    const std::string_view name(key);
+    if ((!first_member_ && !Consume(',')) || !Consume('"') || !ConsumeWord(name) ||
+        !ConsumeWord("\"")) {
+      Fail(Status::Corruption(StrFormat("shard artifact: missing field '%s'", key)));
+      return false;
+    }
+    first_member_ = false;
+    return Expect(':');
+  }
 
   template <typename T>
   void Field(const char* key, T& leaf, bool on_wire = true) {
-    if (status_.ok() && on_wire) {
-      status_ = Read(*obj_, key, &leaf);
+    if (on_wire && Member(key)) {
+      ReadLeaf(key, &leaf);
     }
   }
   template <typename S>
   void Object(const char* key, S& sub) {
-    if (const JsonNode* node = Find(key)) {
-      ReadInto(*node, sub);
+    if (Member(key)) {
+      ReadObject(sub);
     }
   }
   template <typename S>
   void Array(const char* key, std::vector<S>& items) {
-    const JsonNode* node = Find(key);
-    if (node == nullptr) {
-      return;
-    }
-    if (node->kind != JsonNode::Kind::kArray) {
-      status_ = Status::Corruption(StrFormat("shard artifact: '%s' is not an array", key));
-      return;
-    }
-    items.reserve(CountItems(*node));
-    for (const JsonNode& entry : node->children()) {
-      ReadInto(entry, items.emplace_back());
-    }
+    // An array's length is not known before its items are read, so they go
+    // into a per-thread buffer that outlives the decode, then move into an
+    // exactly sized vector: one allocation per array once the buffer has
+    // grown, where growing `items` itself would take several.
+    thread_local std::vector<S> buffer;
+    buffer.clear();
+    ReadArray(key, buffer, [this](S& item) { ReadObject(item); });
+    items.assign(std::make_move_iterator(buffer.begin()), std::make_move_iterator(buffer.end()));
   }
 
-  /// Reads the members of `obj` into `s`.
+  /// Reads '{', the members `read_members` reads, then '}'.
+  template <typename ReadMembers>
+  void Braces(ReadMembers read_members) {
+    if (!Expect('{')) {
+      return;
+    }
+    first_member_ = true;
+    read_members();
+    Expect('}');
+    first_member_ = false;
+  }
+
   template <typename S>
-  void ReadInto(const JsonNode& obj, S& s) {
-    const JsonNode* outer = obj_;
-    obj_ = &obj;
-    core::VisitFields(s, *this);
-    obj_ = outer;
+  void ReadObject(S& s) {
+    Braces([&] { core::VisitFields(s, *this); });
+  }
+
+  /// Reads member `key` as an array, each item through
+  /// `read_item(items.emplace_back())`.
+  template <typename S, typename ReadItem>
+  void ReadArray(const char* key, std::vector<S>& items, ReadItem read_item) {
+    if (!Member(key)) {
+      return;
+    }
+    if (!Consume('[')) {
+      Fail(Refusal(key, "is not an array"));
+      return;
+    }
+    if (Consume(']')) {
+      return;
+    }
+    do {
+      read_item(items.emplace_back());
+    } while (ok() && Consume(','));
+    Expect(']');
+  }
+
+  /// Refuses anything but whitespace after the document.
+  void End() {
+    SkipWhitespace();
+    if (ok() && pos_ != text_.size()) {
+      Fail(Error("trailing characters after document"));
+    }
   }
 
  private:
-  /// Member `key` of the current object; nullptr once the walk has failed.
-  const JsonNode* Find(const char* key) {
-    if (!status_.ok()) {
-      return nullptr;
-    }
-    auto member = Member(*obj_, key);
-    status_ = member.status();
-    return member.ok() ? *member : nullptr;
+  /// A syntax error at the cursor.
+  Status Error(const std::string& what) const {
+    return Status::Corruption(
+        StrFormat("shard artifact: json: %s at offset %zu", what.c_str(), pos_));
+  }
+  static Status Refusal(const char* key, const char* defect) {
+    return Status::Corruption(StrFormat("shard artifact: '%s' %s", key, defect));
   }
 
-  const JsonNode* obj_ = nullptr;
+  void SkipWhitespace() {
+    while (pos_ < text_.size()) {
+      char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
+        break;
+      }
+      ++pos_;
+    }
+  }
+
+  /// Steps past whitespace and `c`, if `c` comes next.
+  bool Consume(char c) {
+    SkipWhitespace();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  bool Expect(char c) {
+    if (!ok()) {
+      return false;
+    }
+    if (!Consume(c)) {
+      Fail(Error(StrFormat("expected '%c'", c)));
+      return false;
+    }
+    return true;
+  }
+
+  bool ConsumeWord(std::string_view word) {
+    if (text_.substr(pos_, word.size()) == word) {
+      pos_ += word.size();
+      return true;
+    }
+    return false;
+  }
+
+  /// Reads the value at the cursor into `*out`, refusing one that does not
+  /// fit its type: bool, std::string, double, an unsigned integer (a u64 on
+  /// the wire), int64_t or int.
+  template <typename T>
+  void ReadLeaf(const char* key, T* out) {
+    SkipWhitespace();
+    const char next = pos_ < text_.size() ? text_[pos_] : '\0';
+    if constexpr (std::is_same_v<T, bool>) {
+      if (ConsumeWord("true")) {
+        *out = true;
+      } else if (ConsumeWord("false")) {
+        *out = false;
+      } else {
+        Fail(Refusal(key, "is not a bool"));
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (next != '"') {
+        Fail(Refusal(key, "is not a string"));
+        return;
+      }
+      ReadString(out);
+    } else {
+      const char* kind = std::is_same_v<T, double>  ? "is not a number"
+                         : std::is_unsigned_v<T> ? "is not a u64"
+                                                 : "is not an integer";
+      // Anything that does not open another kind of value is read as a
+      // number, so a malformed one is refused as such.
+      Number n;
+      if (std::string_view("{[\"tfn").find(next) != std::string_view::npos) {
+        Fail(Refusal(key, kind));
+      } else if (!ReadNumber(&n)) {
+        return;
+      } else if constexpr (std::is_same_v<T, double>) {
+        *out = n.value;
+      } else if (!n.integral || (std::is_unsigned_v<T> && n.negative)) {
+        Fail(Refusal(key, kind));
+      } else if constexpr (std::is_unsigned_v<T>) {
+        *out = static_cast<T>(n.magnitude);
+      } else {
+        static_assert(std::is_same_v<T, int64_t> || std::is_same_v<T, int>);
+        // |INT64_MIN| is INT64_MAX + 1.
+        if (n.magnitude > static_cast<uint64_t>(INT64_MAX) + (n.negative ? 1 : 0)) {
+          Fail(Refusal(key, "out of range"));
+          return;
+        }
+        int64_t value = static_cast<int64_t>(n.negative ? 0 - n.magnitude : n.magnitude);
+        if (std::is_same_v<T, int> && (value < INT32_MIN || value > INT32_MAX)) {
+          Fail(Refusal(key, "out of int range"));
+          return;
+        }
+        *out = static_cast<T>(value);
+      }
+    }
+  }
+
+  /// Reads the string token at the cursor, unescaped, into `*out`.
+  void ReadString(std::string* out) {
+    ++pos_;  // '"'
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    out->assign(text_.substr(start, pos_ - start));
+    while (pos_ < text_.size()) {
+      char c = text_[pos_++];
+      if (c == '"') {
+        return;
+      }
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) {
+        break;
+      }
+      const char esc = text_[pos_++];
+      constexpr std::string_view kEscapes = "\"\\/bfnrt";
+      constexpr std::string_view kEscaped = "\"\\/\b\f\n\r\t";
+      if (size_t e = kEscapes.find(esc); e != std::string_view::npos) {
+        out->push_back(kEscaped[e]);
+        continue;
+      }
+      if (esc != 'u') {
+        Fail(Error("invalid escape"));
+        return;
+      }
+      if (pos_ + 4 > text_.size()) {
+        Fail(Error("truncated \\u escape"));
+        return;
+      }
+      unsigned code = 0;
+      const char* hex = text_.data() + pos_;
+      if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+        Fail(Error("invalid \\u escape"));
+        return;
+      }
+      // JsonWriter only escapes control characters, so a one-byte
+      // reconstruction is exact for everything it emits.
+      if (code > 0xFF) {
+        Fail(Error("unsupported \\u escape above U+00FF"));
+        return;
+      }
+      pos_ += 4;
+      out->push_back(static_cast<char>(code));
+    }
+    Fail(Error("unterminated string"));
+  }
+
+  /// Reads the number token at the cursor. A token that overflows a double,
+  /// or an integral one that overflows 64 bits, is an error; one that
+  /// underflows reads as ±0.
+  bool ReadNumber(Number* n) {
+    const size_t start = pos_;
+    n->negative = pos_ < text_.size() && text_[pos_] == '-';
+    pos_ += n->negative ? 1 : 0;
+    while (pos_ < text_.size()) {
+      char c = text_[pos_];
+      if (c >= '0' && c <= '9') {
+        ++pos_;
+      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+        n->integral = false;
+        ++pos_;
+      } else {
+        break;
+      }
+    }
+    const char* first = text_.data() + start;
+    const char* digits = first + (n->negative ? 1 : 0);
+    const char* last = text_.data() + pos_;
+    auto refuse = [&](const char* what) {
+      pos_ = start;
+      Fail(Error(what));
+      return false;
+    };
+    if (digits == last) {
+      return refuse("invalid number");
+    }
+    if (n->integral) {
+      // u64 -> double rounds to nearest, exactly as parsing the digits would.
+      if (std::from_chars(digits, last, n->magnitude).ec != std::errc()) {
+        return refuse("integer out of range");
+      }
+      n->value = static_cast<double>(n->magnitude);
+      if (n->negative) {
+        n->value = -n->value;
+      }
+      return true;
+    }
+    // from_chars takes no leading '+', as JSON requires.
+    auto [ptr, ec] = std::from_chars(first, last, n->value);
+    if (ptr != last || (ec != std::errc() && ec != std::errc::result_out_of_range)) {
+      return refuse("invalid number");
+    }
+    if (ec == std::errc::result_out_of_range) {
+      // strtod tells overflow (±inf) from underflow, which reads as ±0.
+      if (std::isinf(std::strtod(std::string(first, last).c_str(), nullptr))) {
+        return refuse("number out of range");
+      }
+      n->value = n->negative ? -0.0 : 0.0;
+    }
+    return true;
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  /// The next member is its object's first, with no comma before it.
+  bool first_member_ = false;
   Status status_;
 };
 
@@ -168,6 +377,53 @@ Result<StatusCode> ParseStatusCodeName(const std::string& name) {
   return Status::Corruption(StrFormat("shard artifact: unknown status code '%s'", name.c_str()));
 }
 
+/// The members of an artifact's "shard" object, checked for consistency.
+void ReadShardHeader(ArtifactReader& in, ShardArtifact* artifact) {
+  in.Field("index", artifact->shard_index);
+  in.Field("count", artifact->shard_count);
+  in.Field("begin", artifact->range.begin);
+  in.Field("end", artifact->range.end);
+  in.Field("total_tasks", artifact->total_tasks);
+  std::string digest_hex;
+  in.Field("spec_digest", digest_hex);
+  if (!in.ok()) {
+    return;
+  }
+  char* end = nullptr;
+  artifact->spec_digest = std::strtoull(digest_hex.c_str(), &end, 16);
+  if (digest_hex.empty() || end != digest_hex.c_str() + digest_hex.size()) {
+    in.Fail(Status::Corruption("shard artifact: malformed spec_digest"));
+  } else if (artifact->shard_count < 1 || artifact->shard_index < 0 ||
+             artifact->shard_index >= artifact->shard_count || artifact->range.begin < 0 ||
+             artifact->range.begin > artifact->range.end ||
+             artifact->range.end > artifact->total_tasks) {
+    in.Fail(Status::Corruption("shard artifact: inconsistent shard header"));
+  }
+}
+
+/// The members of one task: its result, or its failure's status.
+void ReadTask(ArtifactReader& in, ShardTask* task) {
+  in.Field("task", task->task);
+  in.Field("ok", task->ok);
+  if (task->ok) {
+    in.Object("result", task->result);
+    return;
+  }
+  std::string code_name;
+  std::string message;
+  in.Field("error_code", code_name);
+  in.Field("error_message", message);
+  if (!in.ok()) {
+    return;
+  }
+  Result<StatusCode> code = ParseStatusCodeName(code_name);
+  if (!code.ok()) {
+    in.Fail(code.status());
+    return;
+  }
+  task->error = Status(*code, std::move(message));
+}
+
 constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -176,8 +432,7 @@ constexpr uint64_t kFnvPrime = 1099511628211ULL;
 uint64_t Fnv1aDigest(std::string_view bytes) {
   uint64_t hash = kFnvOffsetBasis;
   for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= kFnvPrime;
+    hash = (hash ^ c) * kFnvPrime;
   }
   return hash;
 }
@@ -308,14 +563,12 @@ std::vector<core::SweepUnit> UnitsFromSpecs(
 }
 
 uint64_t SpecDigest(const std::vector<core::SweepUnit>& units) {
-  uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis.
+  uint64_t hash = kFnvOffsetBasis;
   auto mix = [&hash](const std::string& s) {
     for (unsigned char c : s) {
-      hash ^= c;
-      hash *= 1099511628211ULL;  // FNV prime.
+      hash = (hash ^ c) * kFnvPrime;
     }
-    hash ^= 0xFFu;  // Separator so field boundaries cannot alias.
-    hash *= 1099511628211ULL;
+    hash = (hash ^ 0xFFu) * kFnvPrime;  // Separator so field boundaries cannot alias.
   };
   for (const core::SweepUnit& unit : units) {
     workload::ExperimentSpec spec;
@@ -363,69 +616,33 @@ std::string EncodeShardArtifact(const ShardArtifact& artifact) {
 }
 
 Result<ShardArtifact> DecodeShardArtifact(std::string_view text) {
-  Result<JsonDocument> parsed = ParseJson(text);
-  if (!parsed.ok()) {
-    return Status::Corruption(
-        StrFormat("shard artifact: %s", parsed.status().message().c_str()));
-  }
-  const JsonNode& doc = parsed->root();
-  int version = 0;
-  EMSIM_RETURN_IF_ERROR(Read(doc, "shard_schema_version", &version));
-  if (version != kShardSchemaVersion) {
-    return Status::Corruption(
-        StrFormat("shard artifact: schema version %d, expected %d", version,
-                  kShardSchemaVersion));
-  }
+  ArtifactReader in(text);
   ShardArtifact artifact;
-  auto shard = Member(doc, "shard");
-  EMSIM_RETURN_IF_ERROR(shard.status());
-  EMSIM_RETURN_IF_ERROR(Read(**shard, "index", &artifact.shard_index));
-  EMSIM_RETURN_IF_ERROR(Read(**shard, "count", &artifact.shard_count));
-  EMSIM_RETURN_IF_ERROR(Read(**shard, "begin", &artifact.range.begin));
-  EMSIM_RETURN_IF_ERROR(Read(**shard, "end", &artifact.range.end));
-  EMSIM_RETURN_IF_ERROR(Read(**shard, "total_tasks", &artifact.total_tasks));
-  std::string digest_hex;
-  EMSIM_RETURN_IF_ERROR(Read(**shard, "spec_digest", &digest_hex));
-  char* end = nullptr;
-  artifact.spec_digest = std::strtoull(digest_hex.c_str(), &end, 16);
-  if (digest_hex.empty() || end != digest_hex.c_str() + digest_hex.size()) {
-    return Status::Corruption("shard artifact: malformed spec_digest");
-  }
-  if (artifact.shard_count < 1 || artifact.shard_index < 0 ||
-      artifact.shard_index >= artifact.shard_count || artifact.range.begin < 0 ||
-      artifact.range.begin > artifact.range.end ||
-      artifact.range.end > artifact.total_tasks) {
-    return Status::Corruption("shard artifact: inconsistent shard header");
-  }
-
-  auto tasks = Member(doc, "tasks");
-  EMSIM_RETURN_IF_ERROR(tasks.status());
-  if ((*tasks)->kind != JsonNode::Kind::kArray) {
-    return Status::Corruption("shard artifact: 'tasks' is not an array");
-  }
-  artifact.tasks.reserve(CountItems(**tasks));
-  for (const JsonNode& entry : (*tasks)->children()) {
-    ShardTask task;
-    EMSIM_RETURN_IF_ERROR(Read(entry, "task", &task.task));
-    EMSIM_RETURN_IF_ERROR(Read(entry, "ok", &task.ok));
-    if (task.ok) {
-      auto result = Member(entry, "result");
-      EMSIM_RETURN_IF_ERROR(result.status());
-      FieldReader reader;
-      reader.ReadInto(**result, task.result);
-      EMSIM_RETURN_IF_ERROR(reader.status());
-    } else {
-      std::string code_name;
-      std::string message;
-      EMSIM_RETURN_IF_ERROR(Read(entry, "error_code", &code_name));
-      EMSIM_RETURN_IF_ERROR(Read(entry, "error_message", &message));
-      Result<StatusCode> code = ParseStatusCodeName(code_name);
-      if (!code.ok()) {
-        return code.status();
-      }
-      task.error = Status(*code, std::move(message));
+  in.Braces([&] {
+    int version = 0;
+    in.Field("shard_schema_version", version);
+    if (in.ok() && version != kShardSchemaVersion) {
+      in.Fail(Status::Corruption(StrFormat("shard artifact: schema version %d, expected %d",
+                                           version, kShardSchemaVersion)));
     }
-    artifact.tasks.push_back(std::move(task));
+    std::string generator;
+    in.Field("generator", generator);
+    if (in.Member("shard")) {
+      in.Braces([&] { ReadShardHeader(in, &artifact); });
+    }
+    if (in.ok()) {
+      // No task reads from fewer bytes of text, so a forged range cannot
+      // reserve more tasks than the text could hold.
+      constexpr size_t kMinTaskBytes = 48;
+      artifact.tasks.reserve(std::min(static_cast<size_t>(artifact.range.size()),
+                                      text.size() / kMinTaskBytes));
+    }
+    in.ReadArray("tasks", artifact.tasks,
+                 [&in](ShardTask& task) { in.Braces([&] { ReadTask(in, &task); }); });
+  });
+  in.End();
+  if (!in.ok()) {
+    return in.status();
   }
   return artifact;
 }

@@ -97,7 +97,9 @@ struct ShardArtifact {
 /// from decoded results are byte-identical to single-process aggregates.
 std::string EncodeShardArtifact(const ShardArtifact& artifact);
 
-/// Parses and validates a shard artifact document.
+/// Reads an artifact back, member by member in the order the encoder writes
+/// them, and validates its header. A reordered, unknown or duplicate member,
+/// or a value that does not fit its field, is kCorruption naming it.
 Result<ShardArtifact> DecodeShardArtifact(std::string_view text);
 
 /// Runs one shard of the grid (the slice ShardSlice picks for

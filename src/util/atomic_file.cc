@@ -125,4 +125,21 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return file->Commit();
 }
 
+Result<std::string> ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Errno("cannot open", path);
+  }
+  std::string text;
+  char buffer[1 << 16];
+  size_t got;
+  while ((got = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
+    text.append(buffer, got);
+  }
+  Status read = std::ferror(f) != 0 ? Errno("cannot read", path) : Status::OK();
+  std::fclose(f);
+  EMSIM_RETURN_IF_ERROR(read);
+  return text;
+}
+
 }  // namespace emsim::util

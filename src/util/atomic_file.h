@@ -58,6 +58,11 @@ class AtomicFile {
 /// `path`.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
+/// The whole contents of the file at `path`. A file that cannot be opened or
+/// read to its end (a directory, say) is an IoError naming the path, never
+/// a short or empty text.
+Result<std::string> ReadFile(const std::string& path);
+
 }  // namespace emsim::util
 
 #endif  // EMSIM_UTIL_ATOMIC_FILE_H_

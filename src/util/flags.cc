@@ -136,8 +136,14 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
       return Status::InvalidArgument(
           StrFormat("flag --%s: %s", name.c_str(), set.message().c_str()));
     }
+    flag.given = true;
   }
   return Status::OK();
+}
+
+bool FlagSet::Given(const std::string& name) const {
+  auto it = flags_.find(name);
+  return it != flags_.end() && it->second.given;
 }
 
 std::string FlagSet::Usage() const {

@@ -34,6 +34,9 @@ class FlagSet {
   /// InvalidArgument with a message naming the offending flag.
   Status Parse(int argc, const char* const* argv);
 
+  /// Whether the last Parse set flag `name`, whatever the value.
+  bool Given(const std::string& name) const;
+
   /// Arguments that were not flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -45,6 +48,7 @@ class FlagSet {
     std::string help;
     std::string default_value;
     bool is_bool = false;
+    bool given = false;
     std::function<Status(const std::string&)> set;
   };
 

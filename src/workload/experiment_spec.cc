@@ -3,12 +3,12 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <utility>
 
 #include "fault/fault_plan.h"
+#include "util/atomic_file.h"
 #include "util/str.h"
 
 namespace emsim::workload {
@@ -335,18 +335,11 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpec(const std::string& text,
 }
 
 Result<std::vector<ExperimentSpec>> LoadExperimentSpec(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("cannot open spec file '%s'", path.c_str()));
+  Result<std::string> text = util::ReadFile(path);
+  if (!text.ok()) {
+    return text.status();
   }
-  std::string text;
-  char buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(f);
-  return ParseExperimentSpec(text, path);
+  return ParseExperimentSpec(*text, path);
 }
 
 std::string ToSpec(const ExperimentSpec& spec) {

@@ -106,6 +106,18 @@ TEST(ExperimentSpecTest, LoadErrorsCarryFileAndLine) {
   ::remove(path.c_str());
 }
 
+TEST(ExperimentSpecTest, UnreadableSpecIsAnIoErrorNamingThePath) {
+  // A directory opens but does not read: it must not parse as an empty spec.
+  const std::string dir = testing::TempDir();
+  for (const std::string& path : {dir, dir + "/no_such_spec.ini"}) {
+    auto result = LoadExperimentSpec(path);
+    ASSERT_FALSE(result.ok()) << path;
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError) << result.status().ToString();
+    EXPECT_NE(result.status().message().find(path), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST(ExperimentSpecTest, RejectsMalformedStructure) {
   EXPECT_FALSE(ParseExperimentSpec("").ok());                 // No sections.
   EXPECT_FALSE(ParseExperimentSpec("runs = 5\n").ok());       // Defaults only.

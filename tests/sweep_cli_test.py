@@ -14,6 +14,9 @@ docs/SWEEPS.md:
   * invalid flag values (--trials 0, a nan number, an int out of range, a
     malformed --shard) exit 2 with a message naming the flag, never a
     CHECK abort, and the retired --sweep driver flag is unknown;
+  * --spec refuses every experiment flag beside it, and every spec key has
+    an experiment flag;
+  * a spec or artifact path that cannot be read is an IoError naming it;
   * with separate write disks, --metrics exports their timelines under
     write_disk* names and leaves every read-side sample as it was.
 
@@ -274,6 +277,63 @@ class SweepCliTest(unittest.TestCase):
                                      d["mean_queue_length"])
                 self.assertEqual(m["disks.concurrency.avg_active"],
                                  t["avg_concurrency"])
+
+    def test_spec_refuses_experiment_flags(self):
+        # Each flag is refused even at its default value, before any output.
+        for extra, named in ((["--runs", "6", "--disks", "2", "--n", "2"], "--runs"),
+                             (["--runs", "25"], "--runs"),
+                             (["--trials=5"], "--trials"),
+                             (["--print_spec", "--write_batch", "10"], "--write_batch")):
+            with self.subTest(extra=extra):
+                proc = run_cli(["--spec", self.spec] + extra, cwd=self.dir,
+                               check=False)
+                self.assertEqual(proc.returncode, 2, proc.stderr)
+                self.assertIn(named + " cannot be combined with --spec", proc.stderr)
+                self.assertEqual(proc.stdout, "")
+        # --help still shows every default.
+        usage = run_cli(["--help"], cwd=self.dir).stdout
+        for line in ("--runs", "(default: 25)"), ("--trials", "(default: 5)"):
+            self.assertTrue(any(line[0] in l and line[1] in l
+                                for l in usage.splitlines()), line)
+
+    def test_help_lists_a_flag_for_every_spec_key(self):
+        # Every key the spec parser accepts, each off its default.
+        keys = {
+            "runs": "6", "disks": "3", "blocks": "20", "n": "2", "cache": "40",
+            "seed": "9", "trials": "1", "strategy": "demand-run-only",
+            "sync": "sync", "admission": "greedy", "victim": "round-robin",
+            "depletion": "zipf", "zipf_theta": "0.5", "cpu_ms": "0.1",
+            "write_traffic": "separate", "write_disks": "2", "write_batch": "4",
+            "fault_media_error_rate": "0.01", "fault_spike_rate": "0.02",
+            "fault_spike_ms": "5", "fault_slow_disk": "1",
+            "fault_slow_factor": "2", "fault_slow_start_ms": "1",
+            "fault_slow_end_ms": "100", "fault_stop_disk": "2",
+            "fault_stop_start_ms": "10", "fault_stop_end_ms": "20",
+            "fault_seed": "5", "fault_max_retries": "3",
+            "fault_timeout_ms": "1000", "fault_backoff_ms": "10",
+            "fault_backoff_mult": "3",
+        }
+        spec = os.path.join(self.dir, "every_key.ini")
+        with open(spec, "w", encoding="utf-8") as f:
+            f.write("[every]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        printed = run_cli(["--spec", spec, "--print_spec"], cwd=self.dir).stdout
+        spec_keys = {line.split(" = ")[0] for line in printed.splitlines()
+                     if " = " in line}
+        self.assertEqual(spec_keys, set(keys))
+        usage = run_cli(["--help"], cwd=self.dir).stdout
+        flags = {line.split()[0] for line in usage.splitlines()
+                 if line.startswith("  --")}
+        self.assertEqual({f"--{k}" for k in spec_keys} - flags, set())
+
+    def test_unreadable_inputs_are_io_errors_naming_the_path(self):
+        # A directory opens but does not read; it must not pass for an empty
+        # spec or a footerless artifact.
+        for args in (["--spec", self.dir],
+                     ["--spec", self.spec, "--sweep-merge", self.dir]):
+            with self.subTest(args=args):
+                proc = run_cli(args, cwd=self.dir, check=False)
+                self.assertEqual(proc.returncode, 1, proc.stderr)
+                self.assertIn(f"IoError: cannot read {self.dir}", proc.stderr)
 
     def test_retired_sweep_driver_flag_is_unknown(self):
         proc = run_cli(["--spec", self.spec, "--sweep", "7"], cwd=self.dir,

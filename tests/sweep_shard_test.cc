@@ -4,14 +4,17 @@
 // lowest-index failure capture. Also pins the `--shard k/N` parser, the
 // codec's and the merge's rejection of tampered artifacts, the artifact's
 // integrity footer (seal/unseal), the sealed-merge negative paths — every
-// corruption must be detected and must name the culprit artifact — and
-// util::AtomicFile.
+// corruption must be detected and must name the culprit artifact —
+// util::AtomicFile and util::ReadFile. The decoder reads the encoder's
+// output token by token: its number, string and member-order cases splice
+// one token into an encoded artifact.
 
 #include "sweep/shard.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -22,6 +25,7 @@
 
 #include "core/config.h"
 #include "core/experiment.h"
+#include "core/result.h"
 #include "core/result_json.h"
 #include "sweep/merge.h"
 #include "util/atomic_file.h"
@@ -426,6 +430,259 @@ TEST(ShardCodecTest, RejectsWrongFieldTypes) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("'ok' is not a bool"), std::string::npos)
       << decoded.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// The decoder reads what the encoder writes, token by token. Each case
+// splices a token into an encoded artifact.
+// ---------------------------------------------------------------------------
+
+/// An encoded one-task shard whose task failed with `message`, so its text
+/// holds an error_message string.
+std::string FailedTaskText(const std::string& message) {
+  ShardArtifact artifact = Decoded(0, 2);
+  artifact.tasks.resize(1);
+  artifact.tasks[0].ok = false;
+  artifact.tasks[0].error = Status::Internal(message);
+  return EncodeShardArtifact(artifact);
+}
+
+/// `text` with the value of its first member `key` (up to the next ',' or
+/// newline) replaced by `token`.
+std::string Splice(std::string text, const std::string& key, const std::string& token) {
+  const std::string member = "\"" + key + "\": ";
+  size_t at = text.find(member);
+  EXPECT_NE(at, std::string::npos) << key;
+  at += member.size();
+  text.replace(at, text.find_first_of(",\n", at) - at, token);
+  return text;
+}
+
+/// The first task's result after splicing `token` at member `key`.
+core::MergeResult ResultWith(const std::string& key, const std::string& token) {
+  auto decoded = DecodeShardArtifact(Splice(EncodeShardArtifact(Decoded(0, 2)), key, token));
+  EXPECT_TRUE(decoded.ok()) << key << ": " << token << ": " << decoded.status().ToString();
+  return decoded.ok() ? decoded->tasks.at(0).result : core::MergeResult();
+}
+
+/// The decode error after splicing `token` at member `key`.
+std::string ErrorWith(const std::string& key, const std::string& token) {
+  std::string text = key == "error_message" ? FailedTaskText("m")
+                                            : EncodeShardArtifact(Decoded(0, 2));
+  auto decoded = DecodeShardArtifact(Splice(std::move(text), key, token));
+  EXPECT_FALSE(decoded.ok()) << key << ": " << token;
+  if (decoded.ok()) {
+    return std::string();
+  }
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  return decoded.status().message();
+}
+
+/// The error message of the one failed task after splicing `token` there.
+std::string MessageWith(const std::string& token) {
+  auto decoded = DecodeShardArtifact(Splice(FailedTaskText("m"), "error_message", token));
+  EXPECT_TRUE(decoded.ok()) << token << ": " << decoded.status().ToString();
+  return decoded.ok() ? decoded->tasks.at(0).error.message() : std::string();
+}
+
+bool Contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ShardDecodeTest, IntegralTokensConvertLikeDecimalParsing) {
+  // Above 2^53 a double leaf is the integer rounded to nearest, ties to even.
+  EXPECT_EQ(ResultWith("total_ms", "9007199254740993").total_ms, 9007199254740992.0);
+  EXPECT_EQ(ResultWith("total_ms", "9007199254740995").total_ms, 9007199254740996.0);
+  EXPECT_EQ(ResultWith("total_ms", "18446744073709551614").total_ms, 18446744073709551616.0);
+  // A u64 leaf keeps every bit up to its maximum.
+  EXPECT_EQ(ResultWith("io_operations", "18446744073709551615").io_operations, UINT64_MAX);
+}
+
+TEST(ShardDecodeTest, IntegerTokensOutOfRangeAreRefused) {
+  EXPECT_TRUE(Contains(ErrorWith("io_operations", "18446744073709551616"),
+                       "integer out of range"));
+  EXPECT_TRUE(Contains(ErrorWith("total_ms", "-99999999999999999999"), "integer out of range"));
+}
+
+TEST(ShardDecodeTest, NumbersOutOfRangeAreRefused) {
+  for (const std::string& token :
+       {std::string("1e400"), std::string("-1.5e309"), std::string("1e99999999999999999999999"),
+        "1" + std::string(400, '0') + ".5"}) {
+    EXPECT_TRUE(Contains(ErrorWith("total_ms", token), "number out of range")) << token;
+  }
+  // The largest finite double still reads.
+  EXPECT_EQ(ResultWith("total_ms", "1.7976931348623157e308").total_ms, 1.7976931348623157e308);
+}
+
+TEST(ShardDecodeTest, UnderflowReadsAsSignedZero) {
+  EXPECT_EQ(1.0 / ResultWith("total_ms", "1e-400").total_ms, kInf);
+  EXPECT_EQ(1.0 / ResultWith("total_ms", "-1e-400").total_ms, -kInf);
+  // Four hundred zeros after the point underflow despite a positive exponent.
+  EXPECT_EQ(1.0 / ResultWith("total_ms", "0." + std::string(400, '0') + "1e5").total_ms, kInf);
+}
+
+TEST(ShardDecodeTest, NegativeZeroIsADoubleButNotAU64) {
+  EXPECT_EQ(1.0 / ResultWith("total_ms", "-0").total_ms, -kInf);
+  EXPECT_TRUE(Contains(ErrorWith("io_operations", "-0"), "'io_operations' is not a u64"));
+  EXPECT_TRUE(Contains(ErrorWith("io_operations", "1.5"), "'io_operations' is not a u64"));
+}
+
+TEST(ShardDecodeTest, MalformedNumbersAreRefused) {
+  for (const char* token : {"+5", "1e5e5", "-", "--1", "1-2", "1e", "x"}) {
+    EXPECT_TRUE(Contains(ErrorWith("total_ms", token), "invalid number")) << token;
+  }
+}
+
+TEST(ShardDecodeTest, ValuesOfAnotherKindAreRefusedByName) {
+  EXPECT_TRUE(Contains(ErrorWith("total_ms", "\"1\""), "'total_ms' is not a number"));
+  EXPECT_TRUE(Contains(ErrorWith("total_ms", "null"), "'total_ms' is not a number"));
+  EXPECT_TRUE(Contains(ErrorWith("blocks_merged", "true"), "'blocks_merged' is not an integer"));
+  EXPECT_TRUE(Contains(ErrorWith("ok", "1"), "'ok' is not a bool"));
+  EXPECT_TRUE(Contains(ErrorWith("error_message", "7"), "'error_message' is not a string"));
+  std::string text = EncodeShardArtifact(Decoded(0, 2));
+  std::string not_array = text;
+  not_array.replace(not_array.find("\"per_disk\": ["), 13, "\"per_disk\": {");
+  auto decoded = DecodeShardArtifact(not_array);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(Contains(decoded.status().message(), "'per_disk' is not an array"));
+  EXPECT_TRUE(Contains(ErrorWith("shard", "7"), "expected '{'"));
+}
+
+TEST(ShardDecodeTest, EscapedMessagesAreUnescaped) {
+  EXPECT_EQ(MessageWith(R"("\u0001")"), "\x01");
+  EXPECT_EQ(MessageWith(R"("A\u00e9\u00FF")"), "A\xe9\xff");
+  EXPECT_EQ(MessageWith(R"("q\"b\\s\/b\bf\fn\nr\rt\t")"), "q\"b\\s/b\bf\fn\nr\rt\t");
+  // What the encoder escapes reads back as it was.
+  const std::string message = "quote \" backslash \\ newline \n control \x01 end";
+  auto decoded = DecodeShardArtifact(FailedTaskText(message));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->tasks.at(0).error.message(), message);
+}
+
+TEST(ShardDecodeTest, EscapesAboveLatin1OrMalformedAreRefused) {
+  EXPECT_TRUE(Contains(ErrorWith("error_message", R"("\u0100")"), "above U+00FF"));
+  EXPECT_TRUE(Contains(ErrorWith("error_message", R"("\u00g0")"), "invalid \\u escape"));
+  EXPECT_TRUE(Contains(ErrorWith("error_message", R"("\x")"), "invalid escape"));
+  std::string text = FailedTaskText("m");
+  for (const char* tail : {R"("\u00)", R"("abc)", R"("a\)"}) {
+    std::string cut = text.substr(0, text.find("\"error_message\": ") + 17) + tail;
+    auto decoded = DecodeShardArtifact(cut);
+    ASSERT_FALSE(decoded.ok()) << tail;
+    EXPECT_TRUE(Contains(decoded.status().message(), std::string(tail) == R"("\u00)"
+                                                         ? "truncated \\u escape"
+                                                         : "unterminated string"))
+        << tail << ": " << decoded.status().ToString();
+  }
+}
+
+TEST(ShardDecodeTest, TrailingCharactersAreRefused) {
+  const std::string text = EncodeShardArtifact(Decoded(0, 2));
+  for (const char* tail : {" x", "}", "{}", ","}) {
+    auto decoded = DecodeShardArtifact(text + tail);
+    ASSERT_FALSE(decoded.ok()) << tail;
+    EXPECT_TRUE(Contains(decoded.status().message(), "trailing characters after document"))
+        << tail << ": " << decoded.status().ToString();
+  }
+  EXPECT_TRUE(DecodeShardArtifact(text + " \n\t\r ").ok());
+}
+
+TEST(ShardDecodeTest, WhitespaceBetweenTokensIsFree) {
+  const std::string text = EncodeShardArtifact(Decoded(0, 2));
+  // The artifact's strings hold no ':', ',' or whitespace, so these edits
+  // touch only the space between tokens.
+  std::string compact;
+  std::string spread;
+  for (char c : text) {
+    if (c != ' ' && c != '\n') {
+      compact.push_back(c);
+    }
+    if (c == ':' || c == ',' || c == '{' || c == '[') {
+      spread += std::string(" \t\r\n") + c + "\n\t ";
+    } else if (c != ' ') {
+      spread.push_back(c);
+    }
+  }
+  for (const std::string& variant : {compact, spread}) {
+    auto decoded = DecodeShardArtifact(variant);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(EncodeShardArtifact(*decoded), text);
+  }
+}
+
+/// `text` with line `a` and the line after it swapped: two members of one
+/// object trade places.
+std::string SwapLineWithNext(std::string text, const std::string& a) {
+  size_t first = text.rfind('\n', text.find(a)) + 1;
+  size_t second = text.find('\n', first) + 1;
+  size_t after = text.find('\n', second) + 1;
+  std::string line_a = text.substr(first, second - first);
+  std::string line_b = text.substr(second, after - second);
+  return text.replace(first, after - first, line_b + line_a);
+}
+
+TEST(ShardDecodeTest, ReorderedMembersAreRefused) {
+  const std::string text = EncodeShardArtifact(Decoded(0, 2));
+  // blocks_merged before total_ms: the first member is not the one expected.
+  auto decoded = DecodeShardArtifact(SwapLineWithNext(text, "\"total_ms\""));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(Contains(decoded.status().message(), "missing field 'total_ms'"))
+      << decoded.status().ToString();
+  // The same inside the shard header.
+  decoded = DecodeShardArtifact(SwapLineWithNext(text, "\"index\""));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(Contains(decoded.status().message(), "missing field 'index'"))
+      << decoded.status().ToString();
+}
+
+TEST(ShardDecodeTest, UnknownMemberIsRefused) {
+  const std::string text = EncodeShardArtifact(Decoded(0, 2));
+  std::string inside = text;
+  inside.insert(inside.find("\"blocks_merged\""), "\"extra\": 1, ");
+  auto decoded = DecodeShardArtifact(inside);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(Contains(decoded.status().message(), "missing field 'blocks_merged'"))
+      << decoded.status().ToString();
+  // After an object's last member, where the table lists none.
+  std::string last = text;
+  size_t at = last.find("\"spec_digest\"");
+  last.insert(last.find('\n', at), ", \"extra\": 1");
+  decoded = DecodeShardArtifact(last);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(Contains(decoded.status().message(), "expected '}'")) << decoded.status().ToString();
+}
+
+TEST(ShardDecodeTest, DuplicateMemberIsRefused) {
+  std::string text = EncodeShardArtifact(Decoded(0, 2));
+  size_t begin = text.rfind('\n', text.find("\"total_ms\"")) + 1;
+  size_t end = text.find('\n', begin) + 1;
+  text.insert(begin, text.substr(begin, end - begin));
+  auto decoded = DecodeShardArtifact(text);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(Contains(decoded.status().message(), "missing field 'blocks_merged'"))
+      << decoded.status().ToString();
+}
+
+TEST(ShardDecodeTest, ForgedRangeReservesNoMoreThanTheTextHolds) {
+  const std::string huge = "2147483647";  // 2^31 - 1 tasks.
+  const ShardArtifact real = Decoded(0, 2);
+  std::string text = EncodeShardArtifact(real);
+  text = Splice(Splice(Splice(text, "count", "1"), "end", huge), "total_tasks", huge);
+  auto decoded = DecodeShardArtifact(text);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->range.size(), INT32_MAX);
+  EXPECT_EQ(decoded->tasks.size(), real.tasks.size());
+  EXPECT_LE(decoded->tasks.capacity(), text.size() / 48);
+}
+
+TEST(ShardDecodeTest, EveryTruncationIsRefused) {
+  const std::string text = FailedTaskText("a \"quoted\" message");
+  ASSERT_TRUE(DecodeShardArtifact(text).ok());
+  // The text ends in "}\n": every shorter prefix lacks the closing brace.
+  for (size_t size = 0; size + 2 < text.size(); ++size) {
+    EXPECT_FALSE(DecodeShardArtifact(text.substr(0, size)).ok()) << size;
+  }
 }
 
 // The acceptance criterion: for N in {1, 2, 7}, the merged artifact is
@@ -844,6 +1101,34 @@ TEST(AtomicFileTest, DiscardLeavesNoFile) {
   }
   struct stat st{};
   EXPECT_NE(::stat(path.c_str(), &st), 0);
+}
+
+TEST(ReadFileTest, ReadsBackWhatWasWritten) {
+  const std::string path = FreshDir("read_file") + "/doc.bin";
+  // Longer than one read, with every byte value.
+  std::string contents(200000, '\0');
+  for (size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<char>(i * 7 % 256);
+  }
+  ASSERT_TRUE(util::WriteFileAtomic(path, contents).ok());
+  auto read = util::ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, contents);
+  ASSERT_TRUE(util::WriteFileAtomic(path, "").ok());
+  read = util::ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, "");
+}
+
+TEST(ReadFileTest, DirectoryOrMissingFileIsAnIoErrorNamingThePath) {
+  const std::string dir = FreshDir("read_file_dir");
+  for (const std::string& path : {dir, dir + "/missing.json"}) {
+    auto read = util::ReadFile(path);
+    ASSERT_FALSE(read.ok()) << path;
+    EXPECT_EQ(read.status().code(), StatusCode::kIoError) << read.status().ToString();
+    EXPECT_NE(read.status().message().find(path), std::string::npos)
+        << read.status().ToString();
+  }
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ namespace {
 
 /// One experiment flag: a spec key, parsed by workload::ApplyExperimentKey
 /// exactly as in a spec file, registered as a string flag with the CLI's
-/// default text. --spec overrides them all.
+/// default text. None may be given with --spec, whose file sets them all.
 struct ExperimentFlag {
   const char* key;
   const char* default_text;
@@ -72,6 +72,8 @@ constexpr ExperimentFlag kExperimentFlags[] = {
     {"victim", "random", "random | round-robin | fewest-buffered | nearest-head"},
     {"depletion", "uniform", "uniform | zipf"},
     {"write_traffic", "none", "none | separate | shared"},
+    {"write_disks", "1", "output disks for --write_traffic separate"},
+    {"write_batch", "10", "output blocks per write request"},
     {"fault_media_error_rate", "0", "P(injected media error) per read request"},
     {"fault_spike_rate", "0", "P(latency spike) per request"},
     {"fault_spike_ms", "50", "extra latency per spike (ms)"},
@@ -102,21 +104,6 @@ void AddResultRow(stats::Table& table, const std::string& name,
                 stats::Table::Cell(result.MeanConcurrency(), 2),
                 stats::Table::Cell(first.stall_ms.Mean(), 2),
                 StrFormat("%llu", static_cast<unsigned long long>(first.stall_ms.count()))});
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound(StrFormat("cannot open %s", path.c_str()));
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return text;
 }
 
 /// Renders the sweep results exactly like a plain run: per-spec table rows
@@ -192,7 +179,7 @@ int RunMerge(const std::vector<core::SweepUnit>& units, const std::vector<std::s
   }
   std::vector<sweep::NamedArtifact> artifacts;
   for (const std::string& path : paths) {
-    auto text = ReadFile(path);
+    auto text = util::ReadFile(path);
     if (!text.ok()) {
       std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
       return 1;
@@ -231,7 +218,8 @@ int main(int argc, char** argv) {
     experiment_text[i] = kExperimentFlags[i].default_text;
     flags.AddString(kExperimentFlags[i].key, &experiment_text[i], kExperimentFlags[i].help);
   }
-  flags.AddString("spec", &spec_path, "experiment spec file (overrides other flags)");
+  flags.AddString("spec", &spec_path,
+                  "experiment spec file (excludes the experiment flags)");
   flags.AddString("format", &format, "table | csv");
   flags.AddString("json", &json_path,
                   "also write a schema-stable JSON document here ('-' = stdout)");
@@ -277,6 +265,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s is only valid with --sweep-worker\n",
                  shard.empty() ? "--shard-out" : "--shard");
     return 2;
+  }
+
+  // A spec file sets every experiment key, so a flag beside it would be
+  // silently dropped; refuse it instead, even at its default value.
+  if (!spec_path.empty()) {
+    for (const ExperimentFlag& flag : kExperimentFlags) {
+      if (flags.Given(flag.key)) {
+        std::fprintf(stderr, "--%s cannot be combined with --spec; set '%s' in the spec file\n",
+                     flag.key, flag.key);
+        return 2;
+      }
+    }
   }
 
   workload::ExperimentSpec cli_spec;

@@ -16,8 +16,8 @@ Rules (ids are what `allow(...)` takes; `--list-rules` prints this catalog):
                        an unordered container — inside the export surface.
                        The export surface is: every function defined in a
                        sink file (MergeResult + result_json, stats/accumulator,
-                       stats/json_writer, the sweep shard/merge/json_value
-                       codec, src/obs/), every function that directly calls
+                       stats/json_writer, the sweep shard/merge codec,
+                       src/obs/), every function that directly calls
                        one of those, and everything transitively called from
                        either set. Findings carry the call chain from a sink.
   pointer-ordering     sort/set/map/priority_queue/less/greater keyed on a
@@ -112,7 +112,7 @@ EXPORT_SINK_PATTERNS = (
     r"^src/core/result",          # MergeResult + its JSON projection
     r"^src/stats/accumulator",    # the Accumulator::State merge contract
     r"^src/stats/json_writer",
-    r"^src/sweep/(shard|merge|json_value)",  # sweep wire codec
+    r"^src/sweep/(shard|merge)",  # sweep wire codec
     r"^src/obs/",                 # metrics registry exported into MergeResult
 )
 
