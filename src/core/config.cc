@@ -126,10 +126,8 @@ Status MergeConfig::Validate() const {
     return Status::InvalidArgument("max_wall_ms must be >= 0 (0 disables)");
   }
   EMSIM_RETURN_IF_ERROR(disk_params.Validate());
-  disk::RunLayout layout(disk::RunLayout::Options{num_runs, num_disks, blocks_per_run,
-                                                  disk_params.geometry, placement,
-                                                  run_lengths});
-  return layout.Validate();
+  return disk::RunLayout::Validate(disk::RunLayout::Options{
+      num_runs, num_disks, blocks_per_run, disk_params.geometry, placement, run_lengths});
 }
 
 std::string MergeConfig::ToString() const {

@@ -77,7 +77,8 @@ class Engine final : public disk::RequestSink {
         disks_(&sim_, disk::DiskArray::Options{config.disk_params, config.num_disks,
                                                config.seed, metrics_, fault_plan_.get()}),
         cache_(&sim_, cache::BlockCache::Options{config.EffectiveCacheBlocks(),
-                                                 config.num_runs, metrics_}),
+                                                 config.num_runs, metrics_,
+                                                 layout_.TotalBlocks()}),
         runs_(config.run_lengths.empty()
                   ? io::RunStates(config.num_runs, config.blocks_per_run)
                   : io::RunStates(config.run_lengths)),

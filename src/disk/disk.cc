@@ -13,6 +13,7 @@ namespace emsim::disk {
 Disk::Disk(sim::Simulation* sim, const DiskParams& params, int id, uint64_t seed)
     : sim_(sim), id_(id), mechanism_(params), rng_(seed), work_(sim) {
   EMSIM_CHECK(sim != nullptr);
+  queue_.reserve(kReservedRequests);
   busy_timeline_.Update(sim->Now(), 0.0);
   queue_timeline_.Update(sim->Now(), 0.0);
 }

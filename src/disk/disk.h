@@ -238,6 +238,12 @@ class Disk {
   fault::FaultPlan* faults_ = nullptr;
   Rng rng_;
   BusyObserver* busy_observer_ = nullptr;
+  /// Requests the queue buffer holds from construction. The deepest queue
+  /// seen on the benchmark workloads is 30 pending requests (k=25, D=5,
+  /// N=1 inter-run), so their trials never grow it; a deeper queue still
+  /// grows by doubling.
+  static constexpr size_t kReservedRequests = 32;
+
   /// Pending requests are queue_[queue_head_, size) in arrival order. The
   /// served prefix is dropped when the queue drains, or compacted away when
   /// a push finds the buffer full, so a steady state reuses one buffer.

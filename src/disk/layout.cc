@@ -1,14 +1,29 @@
 #include "disk/layout.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 #include "util/str.h"
 
 namespace emsim::disk {
 
-RunLayout::RunLayout(const Options& options) : options_(options) {
+namespace {
+
+constexpr int64_t kMaxBlocks = std::numeric_limits<int64_t>::max();
+
+// Block counts saturate instead of overflowing: run counts and lengths come
+// straight from parsed specs, and INT64_MAX-sized inputs must fail
+// Validate()'s capacity checks, not hit signed-overflow UB while summing
+// (caught by UBSan with -fsanitize=undefined on a fuzz-derived spec).
+int64_t AddBlocks(int64_t a, int64_t b) {
+  int64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum) ? kMaxBlocks : sum;
+}
+
+void CheckOptions(const RunLayout::Options& options) {
   EMSIM_CHECK(options.num_runs >= 1);
   EMSIM_CHECK(options.num_disks >= 1);
   EMSIM_CHECK(options.blocks_per_run >= 1);
@@ -18,85 +33,109 @@ RunLayout::RunLayout(const Options& options) : options_(options) {
       EMSIM_CHECK(b >= 1);
     }
   }
-  if (striped()) {
-    return;
-  }
-  runs_of_.resize(static_cast<size_t>(options.num_disks));
-  start_block_.resize(static_cast<size_t>(options.num_runs));
-  // Runs are placed on their disk in increasing id order, so a run starts
-  // where the runs before it on the same disk end. Saturate instead of
-  // overflowing; oversized layouts fail Validate().
-  std::vector<int64_t> disk_end(static_cast<size_t>(options.num_disks), 0);
-  for (int r = 0; r < options.num_runs; ++r) {
-    const size_t d = static_cast<size_t>(DiskOf(r));
-    runs_of_[d].push_back(r);
-    start_block_[static_cast<size_t>(r)] = disk_end[d];
-    if (__builtin_add_overflow(disk_end[d], RunBlocks(r), &disk_end[d])) {
-      disk_end[d] = std::numeric_limits<int64_t>::max();
-    }
-  }
 }
 
-int64_t RunLayout::RunBlocks(int run) const {
-  EMSIM_DCHECK(run >= 0 && run < options_.num_runs);
-  if (options_.run_blocks.empty()) {
-    return options_.blocks_per_run;
+int64_t RunBlocksOf(const RunLayout::Options& options, int64_t run) {
+  if (options.run_blocks.empty()) {
+    return options.blocks_per_run;
   }
-  return options_.run_blocks[static_cast<size_t>(run)];
+  return options.run_blocks[static_cast<size_t>(run)];
 }
 
-int64_t RunLayout::TotalBlocks() const {
-  // Saturate instead of overflowing: run counts/lengths come straight from
-  // parsed specs, and INT64_MAX-sized inputs must fail Validate()'s capacity
-  // checks, not hit signed-overflow UB while summing (caught by UBSan with
-  // -fsanitize=undefined on a fuzz-derived spec).
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  if (options_.run_blocks.empty()) {
+int64_t TotalBlocksOf(const RunLayout::Options& options) {
+  if (options.run_blocks.empty()) {
     int64_t total = 0;
-    if (__builtin_mul_overflow(static_cast<int64_t>(options_.num_runs),
-                               options_.blocks_per_run, &total)) {
-      return kMax;
+    if (__builtin_mul_overflow(static_cast<int64_t>(options.num_runs), options.blocks_per_run,
+                               &total)) {
+      return kMaxBlocks;
     }
     return total;
   }
   int64_t total = 0;
-  for (int64_t b : options_.run_blocks) {
-    if (__builtin_add_overflow(total, b, &total)) {
-      return kMax;
-    }
+  for (int64_t b : options.run_blocks) {
+    total = AddBlocks(total, b);
   }
   return total;
 }
 
-Status RunLayout::Validate() const {
-  EMSIM_RETURN_IF_ERROR(options_.geometry.Validate());
-  if (options_.placement == RunPlacement::kStriped) {
-    if (!options_.run_blocks.empty()) {
+/// The runs a whole-run placement stores on `disk`, in increasing id
+/// order: first, first + stride, ... below end. Matches RunLayout::DiskOf.
+struct DiskRuns {
+  int64_t first = 0;
+  int64_t end = 0;
+  int64_t stride = 1;
+};
+
+DiskRuns RunsPlacedOn(const RunLayout::Options& options, int disk) {
+  const int64_t k = options.num_runs;
+  if (options.placement == RunPlacement::kBlocked) {
+    const int64_t per_disk = (k + options.num_disks - 1) / options.num_disks;
+    return {std::min(k, disk * per_disk), std::min(k, (disk + 1) * per_disk), 1};
+  }
+  return {disk, k, options.num_disks};
+}
+
+}  // namespace
+
+RunLayout::RunLayout(Options options) : options_(std::move(options)) {
+  CheckOptions(options_);
+  if (striped()) {
+    return;
+  }
+  const size_t k = static_cast<size_t>(options_.num_runs);
+  runs_by_disk_.reserve(k);
+  disk_begin_.reserve(static_cast<size_t>(options_.num_disks) + 1);
+  start_block_.resize(k);
+  // Runs are placed on their disk in increasing id order, so a run starts
+  // where the runs before it on the same disk end.
+  for (int d = 0; d < options_.num_disks; ++d) {
+    disk_begin_.push_back(static_cast<int>(runs_by_disk_.size()));
+    const DiskRuns runs = RunsPlacedOn(options_, d);
+    int64_t end = 0;
+    for (int64_t r = runs.first; r < runs.end; r += runs.stride) {
+      runs_by_disk_.push_back(static_cast<int>(r));
+      start_block_[static_cast<size_t>(r)] = end;
+      end = AddBlocks(end, RunBlocksOf(options_, r));
+    }
+  }
+  disk_begin_.push_back(options_.num_runs);
+}
+
+int64_t RunLayout::RunBlocks(int run) const {
+  EMSIM_DCHECK(run >= 0 && run < options_.num_runs);
+  return RunBlocksOf(options_, run);
+}
+
+int64_t RunLayout::TotalBlocks() const { return TotalBlocksOf(options_); }
+
+Status RunLayout::Validate(const Options& options) {
+  CheckOptions(options);
+  EMSIM_RETURN_IF_ERROR(options.geometry.Validate());
+  if (options.placement == RunPlacement::kStriped) {
+    if (!options.run_blocks.empty()) {
       return Status::InvalidArgument("striped placement requires uniform run lengths");
     }
-    if (options_.blocks_per_run % options_.num_disks != 0) {
+    if (options.blocks_per_run % options.num_disks != 0) {
       return Status::InvalidArgument(
           "striped placement requires blocks_per_run divisible by the disk count");
     }
-    int64_t per_disk = TotalBlocks() / options_.num_disks;
-    if (per_disk > options_.geometry.TotalBlocks()) {
+    int64_t per_disk = TotalBlocksOf(options) / options.num_disks;
+    if (per_disk > options.geometry.TotalBlocks()) {
       return Status::InvalidArgument("striped layout overflows the disks");
     }
     return Status::OK();
   }
-  for (int d = 0; d < options_.num_disks; ++d) {
+  for (int d = 0; d < options.num_disks; ++d) {
+    const DiskRuns runs = RunsPlacedOn(options, d);
     int64_t blocks = 0;
-    for (int r : RunsOf(d)) {
-      if (__builtin_add_overflow(blocks, RunBlocks(r), &blocks)) {
-        blocks = std::numeric_limits<int64_t>::max();  // saturate; rejected below
-        break;
-      }
+    for (int64_t r = runs.first; r < runs.end; r += runs.stride) {
+      blocks = AddBlocks(blocks, RunBlocksOf(options, r));
     }
-    if (blocks > options_.geometry.TotalBlocks()) {
+    if (blocks > options.geometry.TotalBlocks()) {
       return Status::InvalidArgument(
           StrFormat("disk %d needs %lld blocks but holds only %lld", d,
                     static_cast<long long>(blocks),
-                    static_cast<long long>(options_.geometry.TotalBlocks())));
+                    static_cast<long long>(options.geometry.TotalBlocks())));
     }
   }
   return Status::OK();
@@ -123,10 +162,12 @@ int RunLayout::RunsOnDisk(int disk) const {
   return static_cast<int>(RunsOf(disk).size());
 }
 
-const std::vector<int>& RunLayout::RunsOf(int disk) const {
+std::span<const int> RunLayout::RunsOf(int disk) const {
   EMSIM_DCHECK(disk >= 0 && disk < options_.num_disks);
   EMSIM_CHECK(!striped() && "RunsOf is undefined for striped runs");
-  return runs_of_[static_cast<size_t>(disk)];
+  const size_t begin = static_cast<size_t>(disk_begin_[static_cast<size_t>(disk)]);
+  const size_t end = static_cast<size_t>(disk_begin_[static_cast<size_t>(disk) + 1]);
+  return std::span<const int>(runs_by_disk_).subspan(begin, end - begin);
 }
 
 int64_t RunLayout::LocalBlock(int run, int64_t offset) const {

@@ -2,6 +2,7 @@
 #define EMSIM_DISK_LAYOUT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,11 @@ class RunLayout {
     std::vector<int64_t> run_blocks;
   };
 
-  explicit RunLayout(const Options& options);
+  explicit RunLayout(Options options);
 
-  /// Fails if a disk would overflow its cylinder count.
-  Status Validate() const;
+  /// Fails if a disk would overflow its cylinder count. Checks `options`
+  /// without building the layout; they must pass the constructor's checks.
+  static Status Validate(const Options& options);
 
   int num_runs() const { return options_.num_runs; }
   int num_disks() const { return options_.num_disks; }
@@ -64,7 +66,7 @@ class RunLayout {
   int RunsOnDisk(int disk) const;
 
   /// The runs stored on `disk`, in placement order (cached at construction).
-  const std::vector<int>& RunsOf(int disk) const;
+  std::span<const int> RunsOf(int disk) const;
 
   /// Disk-local block index of block `offset` of run `run`. For striped
   /// placement the owning disk varies per offset — use Locate/SpansInto.
@@ -109,9 +111,12 @@ class RunLayout {
 
  private:
   Options options_;
-  /// Per-disk run lists and each run's disk-local start block, computed
-  /// once (both empty for striped placement, where a run has no home disk).
-  std::vector<std::vector<int>> runs_of_;
+  /// Each disk's runs, disk after disk: disk d's are runs_by_disk_[
+  /// disk_begin_[d], disk_begin_[d + 1]). With each run's disk-local start
+  /// block, computed once (all empty for striped placement, where a run has
+  /// no home disk).
+  std::vector<int> runs_by_disk_;
+  std::vector<int> disk_begin_;
   std::vector<int64_t> start_block_;
 };
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "sim/process.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "util/status.h"
+#include "util/str.h"
 
 namespace emsim::disk {
 namespace {
@@ -253,8 +256,8 @@ TEST(RunLayoutTest, RoundRobinPlacement) {
   opt.num_runs = 25;
   opt.num_disks = 5;
   opt.blocks_per_run = 1000;
+  EXPECT_TRUE(RunLayout::Validate(opt).ok());
   RunLayout layout(opt);
-  EXPECT_TRUE(layout.Validate().ok());
   EXPECT_EQ(layout.DiskOf(0), 0);
   EXPECT_EQ(layout.DiskOf(7), 2);
   EXPECT_EQ(layout.RunsOf(2)[1], 7);  // Second run on disk 2.
@@ -341,7 +344,8 @@ TEST(RunLayoutTest, UnequalRunsStartAfterTheirDiskPredecessors) {
   // disk 2 = {2, 5}.
   opt.placement = RunPlacement::kRoundRobin;
   RunLayout rr(opt);
-  EXPECT_EQ(rr.RunsOf(0), (std::vector<int>{0, 3, 6}));
+  std::span<const int> rr_disk0 = rr.RunsOf(0);
+  EXPECT_EQ(std::vector<int>(rr_disk0.begin(), rr_disk0.end()), (std::vector<int>{0, 3, 6}));
   EXPECT_EQ(rr.LocalBlock(3, 0), 5);
   EXPECT_EQ(rr.LocalBlock(6, 2), 5 + 23 + 2);
   EXPECT_EQ(rr.LocalBlock(4, 0), 11);
@@ -350,7 +354,9 @@ TEST(RunLayoutTest, UnequalRunsStartAfterTheirDiskPredecessors) {
   // disk 2 = {6}.
   opt.placement = RunPlacement::kBlocked;
   RunLayout blocked(opt);
-  EXPECT_EQ(blocked.RunsOf(1), (std::vector<int>{3, 4, 5}));
+  std::span<const int> blocked_disk1 = blocked.RunsOf(1);
+  EXPECT_EQ(std::vector<int>(blocked_disk1.begin(), blocked_disk1.end()),
+            (std::vector<int>{3, 4, 5}));
   EXPECT_EQ(blocked.LocalBlock(2, 0), 5 + 11);
   EXPECT_EQ(blocked.LocalBlock(5, 1), 23 + 29 + 1);
   EXPECT_EQ(blocked.LocalBlock(6, 0), 0);
@@ -362,8 +368,8 @@ TEST(RunLayoutTest, StripedLocations) {
   opt.num_disks = 2;
   opt.blocks_per_run = 10;
   opt.placement = RunPlacement::kStriped;
+  EXPECT_TRUE(RunLayout::Validate(opt).ok());
   RunLayout layout(opt);
-  EXPECT_TRUE(layout.Validate().ok());
   EXPECT_TRUE(layout.striped());
   // Block o of run r: disk o%2, local r*5 + o/2.
   EXPECT_EQ(layout.Locate(0, 0).disk, 0);
@@ -429,9 +435,9 @@ TEST(RunLayoutTest, StripedValidation) {
   opt.num_disks = 3;
   opt.blocks_per_run = 10;  // Not divisible by 3.
   opt.placement = RunPlacement::kStriped;
-  EXPECT_FALSE(RunLayout(opt).Validate().ok());
+  EXPECT_FALSE(RunLayout::Validate(opt).ok());
   opt.blocks_per_run = 12;
-  EXPECT_TRUE(RunLayout(opt).Validate().ok());
+  EXPECT_TRUE(RunLayout::Validate(opt).ok());
 }
 
 TEST(RunLayoutTest, OverflowDetected) {
@@ -439,8 +445,43 @@ TEST(RunLayoutTest, OverflowDetected) {
   opt.num_runs = 10;
   opt.num_disks = 1;
   opt.blocks_per_run = 10000;  // 100k blocks >> 65k capacity.
-  RunLayout layout(opt);
-  EXPECT_FALSE(layout.Validate().ok());
+  EXPECT_FALSE(RunLayout::Validate(opt).ok());
+}
+
+TEST(RunLayoutTest, ValidateNamesTheFirstOverfullDisk) {
+  // Validate sums each disk's runs from the placement alone; the built
+  // layout's run lists must agree with it.
+  RunLayout::Options opt;
+  opt.num_runs = 5;
+  opt.num_disks = 2;
+  const int64_t holds = opt.geometry.TotalBlocks();
+  opt.run_blocks = {10, holds - 20, 10, 21, 10};
+  // Round-robin: disk 0 = {0, 2, 4} (30 blocks), disk 1 = {1, 3} (holds + 1).
+  // Blocked, 3 per disk: disk 0 = {0, 1, 2} (exactly holds), disk 1 = {3, 4}.
+  for (RunPlacement placement : {RunPlacement::kRoundRobin, RunPlacement::kBlocked}) {
+    opt.placement = placement;
+    RunLayout layout(opt);
+    int over = -1;
+    for (int d = 0; d < opt.num_disks && over < 0; ++d) {
+      int64_t blocks = 0;
+      for (int r : layout.RunsOf(d)) {
+        blocks += layout.RunBlocks(r);
+      }
+      if (blocks > holds) {
+        over = d;
+      }
+    }
+    Status status = RunLayout::Validate(opt);
+    if (placement == RunPlacement::kRoundRobin) {
+      ASSERT_EQ(over, 1);
+      EXPECT_EQ(status.message(),
+                StrFormat("disk 1 needs %lld blocks but holds only %lld",
+                          static_cast<long long>(holds + 1), static_cast<long long>(holds)));
+    } else {
+      EXPECT_EQ(over, -1);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+  }
 }
 
 struct Served {

@@ -1,7 +1,10 @@
-// Pins the merge engine's fetch path as allocation-free: a longer merge does
-// more fetches, so any per-fetch or per-block heap allocation shows up as a
-// difference between two trial lengths. Per-trial setup (the engine, the
-// disks, the cache, buffer and pool growth) cancels out of that difference.
+// Pins the merge engine's heap use. The marginal tests pin the fetch path as
+// allocation-free: a longer merge does more fetches, so any per-fetch or
+// per-block heap allocation shows up as a difference between two trial
+// lengths, while per-trial setup allocations appear in both and drop out.
+// The whole-trial tests pin that setup too: the engine, the disks, the cache
+// frames and the run layout take a few dozen allocations, however long the
+// trial.
 //
 // Heap allocations are counted by replacing the global operator new in this
 // binary. Sanitizer builds install their own allocator, so tests/CMakeLists.txt
@@ -49,11 +52,28 @@ double MarginalAllocsPerBlock(const MergeConfig& config) {
   return (static_cast<double>(long_allocs) - static_cast<double>(short_allocs)) / extra_blocks;
 }
 
-// The cache's per-run offset rings stop growing once a run reaches its peak
-// occupancy, so a longer trial adds only ~0.001 allocations per block
-// (buffers growing to a slightly higher peak). A per-run std::deque, which
-// takes a chunk every 64 blocks, measured ~0.015.
+// The cache's frames are allocated up front, so a longer trial adds only
+// ~0.001 allocations per block (fetch buffers growing to a slightly higher
+// peak). A per-run std::deque, which takes a chunk every 64 blocks,
+// measured ~0.015.
 constexpr double kMaxAllocsPerBlock = 0.005;
+
+// Whole-trial pins, each a little above the count measured when the cache's
+// frames became one up-front allocation (42 and 49; the per-run growing
+// buffers, per-run signals and a second layout build took 210 and 507).
+TEST(MergeAllocTest, WholeTrialFetchHeavy) {
+  // perfbench's fetch-heavy geometry: k=25, D=5, N=1, 1000 blocks per run.
+  MergeConfig config =
+      MergeConfig::Paper(25, 5, 1, Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  EXPECT_LE(TrialAllocs(config, 1000), 48u);
+}
+
+TEST(MergeAllocTest, WholeTrialDeepPrefetch) {
+  // perfbench's deep-prefetch geometry: k=50, D=10, N=30, 1000 blocks per run.
+  MergeConfig config =
+      MergeConfig::Paper(50, 10, 30, Strategy::kAllDisksOneRun, SyncMode::kUnsynchronized);
+  EXPECT_LE(TrialAllocs(config, 1000), 56u);
+}
 
 TEST(MergeAllocTest, FetchHeavyInterRun) {
   // k=25, D=5, N=1 inter-run unsynchronized: a D-way fetch every few blocks.
