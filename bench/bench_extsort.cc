@@ -1,22 +1,23 @@
-// Extension X-SORT: the real external mergesort driving the timing
-// simulator. Records are generated, sorted into runs, and the *actual*
-// block-depletion order of the real k-way merge replaces the paper's random
-// depletion model; the simulator then times that trace under each
-// prefetching strategy. This checks that the paper's conclusions transfer
-// from the stochastic model to genuine merges.
+// Extension X-SORT: real sorted runs driving the timing simulator. Records
+// are generated and sorted into runs, and the block-depletion order of a
+// k-way merge of those runs (computed from the sorted records, see
+// extsort/depletion_trace.h) replaces the paper's random depletion model; the
+// simulator then times that trace under each prefetching strategy. This
+// checks that the paper's conclusions transfer from the stochastic model to
+// genuine merges.
 
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/config.h"
 #include "core/merge_simulator.h"
-#include "extsort/block_device.h"
-#include "extsort/merger.h"
+#include "extsort/depletion_trace.h"
 #include "extsort/record.h"
 #include "extsort/run_formation.h"
 #include "stats/table.h"
@@ -33,13 +34,8 @@ using core::SyncMode;
 using stats::Table;
 using workload::KeyDistribution;
 
-struct TraceBundle {
-  std::vector<int> trace;
-  std::vector<int64_t> run_blocks;
-  size_t runs = 0;
-};
-
-TraceBundle BuildTrace(KeyDistribution dist, extsort::RunFormationStrategy strategy) {
+extsort::DepletionTrace BuildTrace(KeyDistribution dist,
+                                   extsort::RunFormationStrategy strategy) {
   workload::RecordGeneratorOptions gen_opt;
   gen_opt.distribution = dist;
   gen_opt.seed = 2026;
@@ -50,20 +46,20 @@ TraceBundle BuildTrace(KeyDistribution dist, extsort::RunFormationStrategy strat
   for (size_t i = 0; i < n; ++i) {
     input.push_back({gen.NextKey(), i});
   }
-  extsort::MemoryBlockDevice scratch(1 << 16, 4096);
   extsort::RunFormationOptions rf;
   rf.memory_records = 40000;  // 25 load-sort runs of ~157 blocks each.
   rf.strategy = strategy;
-  auto runs = extsort::FormRuns(input, &scratch, rf);
+  auto runs = extsort::FormRuns(input, rf);
   EMSIM_CHECK_MSG(runs.ok(), runs.status().ToString().c_str());
-  auto outcome = extsort::ExtractDepletionTrace(&scratch, runs->runs);
-  EMSIM_CHECK_MSG(outcome.ok(), outcome.status().ToString().c_str());
-  return {outcome->depletion_trace, outcome->run_blocks, runs->runs.size()};
+  auto trace = extsort::ExtractDepletionTrace(*runs, extsort::kRecordsPerBlock);
+  EMSIM_CHECK_MSG(trace.ok(), trace.status().ToString().c_str());
+  return *std::move(trace);
 }
 
-double TimeTrace(const TraceBundle& bundle, Strategy strategy, int n, int64_t cache) {
+double TimeTrace(const extsort::DepletionTrace& bundle, Strategy strategy, int n,
+                 int64_t cache) {
   MergeConfig cfg;
-  cfg.num_runs = static_cast<int>(bundle.runs);
+  cfg.num_runs = static_cast<int>(bundle.run_blocks.size());
   cfg.num_disks = 5;
   cfg.run_lengths = bundle.run_blocks;
   cfg.prefetch_depth = n;
@@ -78,13 +74,14 @@ double TimeTrace(const TraceBundle& bundle, Strategy strategy, int n, int64_t ca
 }
 
 // "25 runs of 157 blocks", or a block range when the runs are unequal.
-std::string RunGeometry(const TraceBundle& bundle) {
+std::string RunGeometry(const extsort::DepletionTrace& bundle) {
   auto [shortest, longest] =
       std::minmax_element(bundle.run_blocks.begin(), bundle.run_blocks.end());
   if (*shortest == *longest) {
-    return StrFormat("%zu runs of %lld blocks", bundle.runs, static_cast<long long>(*shortest));
+    return StrFormat("%zu runs of %lld blocks", bundle.run_blocks.size(),
+                     static_cast<long long>(*shortest));
   }
-  return StrFormat("%zu runs of %lld-%lld blocks", bundle.runs,
+  return StrFormat("%zu runs of %lld-%lld blocks", bundle.run_blocks.size(),
                    static_cast<long long>(*shortest), static_cast<long long>(*longest));
 }
 
@@ -132,10 +129,11 @@ int main() {
                     workload::KeyDistribution::kNearlySorted}) {
     auto bundle = BuildTrace(dist, extsort::RunFormationStrategy::kLoadSort);
     double dro1 = TimeTrace(bundle, core::Strategy::kDemandRunOnly, 1,
-                            static_cast<int64_t>(bundle.runs));
+                            static_cast<int64_t>(bundle.run_blocks.size()));
     double dro10 = TimeTrace(bundle, core::Strategy::kDemandRunOnly, 10, kCache);
     double ador10 = TimeTrace(bundle, core::Strategy::kAllDisksOneRun, 10, kCache);
-    table.AddRow({DistName(dist), Table::Cell(static_cast<double>(bundle.runs), 0),
+    table.AddRow({DistName(dist),
+                  Table::Cell(static_cast<double>(bundle.run_blocks.size()), 0),
                   Table::Cell(dro1), Table::Cell(dro10), Table::Cell(ador10),
                   Table::Cell(dro10 / ador10, 2)});
   }
@@ -144,10 +142,11 @@ int main() {
 
   // Replacement selection: fewer, longer, unequal runs.
   Table table2({"run formation", "runs", "DRO N=10 (s)", "ADOR N=10 (s)"});
-  table2.AddRow({"load-sort", Table::Cell(static_cast<double>(ls.runs), 0),
+  table2.AddRow({"load-sort", Table::Cell(static_cast<double>(ls.run_blocks.size()), 0),
                  Table::Cell(TimeTrace(ls, core::Strategy::kDemandRunOnly, 10, kCache)),
                  Table::Cell(TimeTrace(ls, core::Strategy::kAllDisksOneRun, 10, kCache))});
-  table2.AddRow({"replacement selection", Table::Cell(static_cast<double>(rs.runs), 0),
+  table2.AddRow({"replacement selection",
+                 Table::Cell(static_cast<double>(rs.run_blocks.size()), 0),
                  Table::Cell(TimeTrace(rs, core::Strategy::kDemandRunOnly, 10, kCache)),
                  Table::Cell(TimeTrace(rs, core::Strategy::kAllDisksOneRun, 10, kCache))});
   bench::EmitTable("Run formation strategy (fewer, longer runs -> fewer seeks)", table2);

@@ -21,7 +21,6 @@
 #include "core/result_json.h"
 #include "disk/disk_params.h"
 #include "disk/mechanism.h"
-#include "extsort/loser_tree.h"
 #include "obs/metrics.h"
 #include "sim/frame_pool.h"
 #include "sim/process.h"
@@ -178,21 +177,6 @@ void BM_MechanismAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MechanismAccess);
-
-void BM_LoserTreeReplay(benchmark::State& state) {
-  int k = static_cast<int>(state.range(0));
-  Rng rng(7);
-  extsort::LoserTree<uint64_t> tree(k);
-  for (int s = 0; s < k; ++s) {
-    tree.SetInitial(s, rng.Next64());
-  }
-  tree.Build();
-  for (auto _ : state) {
-    tree.ReplaceWinner(tree.WinnerItem() + rng.UniformInt(1024));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LoserTreeReplay)->Arg(8)->Arg(64)->Arg(512);
 
 /// One seed-1 trial per op, so events_per_op is that trial's exact event
 /// count whatever the iteration count.

@@ -31,8 +31,8 @@ std::unique_ptr<DepletionModel> MakeUniformDepletion(int num_runs);
 /// hottest. theta = 0 degenerates to uniform.
 std::unique_ptr<DepletionModel> MakeZipfDepletion(int num_runs, double theta);
 
-/// Replays a fixed depletion sequence (e.g. extracted from a real merge of
-/// sorted data by extsort::ExtractDepletionTrace).
+/// Replays a fixed depletion sequence (e.g. the order in which a k-way merge
+/// of real sorted runs uses up their blocks, from extsort::ExtractDepletionTrace).
 std::unique_ptr<DepletionModel> MakeTraceDepletion(std::vector<int> trace);
 
 }  // namespace emsim::core

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/block_cache.h"
@@ -165,7 +166,7 @@ class Engine final : public disk::RequestSink {
     }
     EMSIM_CHECK(merge_finished_ && "merge deadlocked: calendar drained early");
     result_.sim_events = sim_.events_processed();
-    return result_;
+    return std::move(result_);
   }
 
  private:

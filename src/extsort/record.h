@@ -1,53 +1,20 @@
 #ifndef EMSIM_EXTSORT_RECORD_H_
 #define EMSIM_EXTSORT_RECORD_H_
 
-#include <cstddef>
+#include <compare>
 #include <cstdint>
-#include <span>
-#include <vector>
-
-#include "util/status.h"
 
 namespace emsim::extsort {
 
-/// A fixed-size sort record: 8-byte key, 8-byte payload. The paper's blocks
-/// hold on the order of 100 records; with 4,096-byte blocks these records
-/// give 255 per block (4 bytes of header).
+/// A fixed-size sort record: 8-byte key, 8-byte payload, ordered by
+/// (key, value). Generated inputs set `value` to the record's input index,
+/// so no two records compare equal.
 struct Record {
   uint64_t key = 0;
   uint64_t value = 0;
 
-  friend bool operator<(const Record& a, const Record& b) {
-    if (a.key != b.key) {
-      return a.key < b.key;
-    }
-    return a.value < b.value;
-  }
-  friend bool operator==(const Record& a, const Record& b) {
-    return a.key == b.key && a.value == b.value;
-  }
+  friend auto operator<=>(const Record&, const Record&) = default;
 };
-
-static_assert(sizeof(Record) == 16, "Record layout is part of the block format");
-
-/// Serialization of records into fixed-size blocks:
-///   [uint32 count][count * Record]; trailing bytes zero.
-class RecordBlock {
- public:
-  /// Records that fit in a block of `block_bytes`.
-  static size_t Capacity(size_t block_bytes) {
-    return (block_bytes - sizeof(uint32_t)) / sizeof(Record);
-  }
-
-  /// Encodes `records` (size <= Capacity) into `block` (size block_bytes).
-  static void Encode(std::span<const Record> records, std::span<uint8_t> block);
-
-  /// Decodes a block; fails on a corrupt count.
-  static Status Decode(std::span<const uint8_t> block, std::vector<Record>* records);
-};
-
-/// True if `records` is sorted by (key, value).
-bool IsSorted(std::span<const Record> records);
 
 }  // namespace emsim::extsort
 

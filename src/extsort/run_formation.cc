@@ -2,53 +2,30 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 
-#include "util/check.h"
 #include "util/status.h"
 
 namespace emsim::extsort {
 
 namespace {
 
-Result<RunFormationResult> LoadSort(std::span<const Record> input, BlockDevice* device,
-                                    const RunFormationOptions& options) {
-  RunFormationResult out;
-  int64_t next_block = 0;
-  std::vector<Record> workspace;
-  workspace.reserve(options.memory_records);
-  size_t pos = 0;
-  while (pos < input.size()) {
-    size_t take = std::min(options.memory_records, input.size() - pos);
-    workspace.assign(input.begin() + static_cast<std::ptrdiff_t>(pos),
-                     input.begin() + static_cast<std::ptrdiff_t>(pos + take));
-    pos += take;
-    std::sort(workspace.begin(), workspace.end());
-    RunWriter writer(device, next_block);
-    for (const Record& r : workspace) {
-      Status status = writer.Append(r);
-      if (!status.ok()) {
-        return status;
-      }
-    }
-    Result<RunDescriptor> run = writer.Finish();
-    if (!run.ok()) {
-      return run.status();
-    }
-    next_block += run->num_blocks;
-    out.runs.push_back(*run);
+std::vector<SortedRun> LoadSort(std::span<const Record> input, size_t memory_records) {
+  std::vector<SortedRun> runs;
+  for (size_t pos = 0; pos < input.size(); pos += memory_records) {
+    std::span<const Record> load =
+        input.subspan(pos, std::min(memory_records, input.size() - pos));
+    SortedRun& run = runs.emplace_back(load.begin(), load.end());
+    std::sort(run.begin(), run.end());
   }
-  out.next_free_block = next_block;
-  return out;
+  return runs;
 }
 
 /// Replacement selection (Knuth 5.4.1): a min-heap of (run-tag, record);
 /// records smaller than the last one emitted are tagged for the next run.
-Result<RunFormationResult> ReplacementSelection(std::span<const Record> input,
-                                                BlockDevice* device,
-                                                const RunFormationOptions& options) {
+std::vector<SortedRun> ReplacementSelection(std::span<const Record> input, size_t memory_records) {
   struct Entry {
     uint64_t run_tag;
     Record record;
@@ -60,74 +37,35 @@ Result<RunFormationResult> ReplacementSelection(std::span<const Record> input,
     }
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-
-  RunFormationResult out;
-  int64_t next_block = 0;
   size_t pos = 0;
-  for (; pos < std::min(options.memory_records, input.size()); ++pos) {
+  for (; pos < std::min(memory_records, input.size()); ++pos) {
     heap.push(Entry{0, input[pos]});
   }
 
+  std::vector<SortedRun> runs;
   uint64_t current_tag = 0;
-  std::unique_ptr<RunWriter> writer;
-  Record last_emitted;
-  bool emitted_any = false;
-
-  auto open_writer = [&]() { writer = std::make_unique<RunWriter>(device, next_block); };
-  auto close_writer = [&]() -> Status {
-    if (writer == nullptr) {
-      return Status::OK();
-    }
-    Result<RunDescriptor> run = writer->Finish();
-    if (!run.ok()) {
-      return run.status();
-    }
-    next_block += run->num_blocks;
-    out.runs.push_back(*run);
-    writer.reset();
-    return Status::OK();
-  };
-
   while (!heap.empty()) {
     Entry top = heap.top();
     heap.pop();
-    if (top.run_tag != current_tag) {
-      Status status = close_writer();
-      if (!status.ok()) {
-        return status;
-      }
+    if (runs.empty() || top.run_tag != current_tag) {
+      runs.emplace_back();
       current_tag = top.run_tag;
-      emitted_any = false;
     }
-    if (writer == nullptr) {
-      open_writer();
-    }
-    Status status = writer->Append(top.record);
-    if (!status.ok()) {
-      return status;
-    }
-    last_emitted = top.record;
-    emitted_any = true;
+    runs.back().push_back(top.record);
     if (pos < input.size()) {
       const Record& incoming = input[pos++];
       // A record below the current output frontier must wait for the next run.
-      uint64_t tag = (emitted_any && incoming < last_emitted) ? current_tag + 1 : current_tag;
+      uint64_t tag = incoming < top.record ? current_tag + 1 : current_tag;
       heap.push(Entry{tag, incoming});
     }
   }
-  Status status = close_writer();
-  if (!status.ok()) {
-    return status;
-  }
-  out.next_free_block = next_block;
-  return out;
+  return runs;
 }
 
 }  // namespace
 
-Result<RunFormationResult> FormRuns(std::span<const Record> input, BlockDevice* device,
-                                    const RunFormationOptions& options) {
-  EMSIM_CHECK(device != nullptr);
+Result<std::vector<SortedRun>> FormRuns(std::span<const Record> input,
+                                  const RunFormationOptions& options) {
   if (options.memory_records < 1) {
     return Status::InvalidArgument("memory_records must be >= 1");
   }
@@ -136,9 +74,9 @@ Result<RunFormationResult> FormRuns(std::span<const Record> input, BlockDevice* 
   }
   switch (options.strategy) {
     case RunFormationStrategy::kLoadSort:
-      return LoadSort(input, device, options);
+      return LoadSort(input, options.memory_records);
     case RunFormationStrategy::kReplacementSelection:
-      return ReplacementSelection(input, device, options);
+      return ReplacementSelection(input, options.memory_records);
   }
   return Status::InvalidArgument("unknown run formation strategy");
 }

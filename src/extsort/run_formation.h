@@ -2,13 +2,10 @@
 #define EMSIM_EXTSORT_RUN_FORMATION_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "extsort/block_device.h"
 #include "extsort/record.h"
-#include "extsort/run_io.h"
 #include "util/status.h"
 
 namespace emsim::extsort {
@@ -29,16 +26,12 @@ struct RunFormationOptions {
   RunFormationStrategy strategy = RunFormationStrategy::kLoadSort;
 };
 
-/// Result of run formation.
-struct RunFormationResult {
-  std::vector<RunDescriptor> runs;
-  int64_t next_free_block = 0;  ///< First block after the last run.
-};
+/// One initial run: its records in sorted order.
+using SortedRun = std::vector<Record>;
 
-/// Sorts `input` into initial runs written contiguously on `device` from
-/// block 0.
-Result<RunFormationResult> FormRuns(std::span<const Record> input, BlockDevice* device,
-                                    const RunFormationOptions& options);
+/// Sorts `input` into initial runs, in the order they are formed.
+Result<std::vector<SortedRun>> FormRuns(std::span<const Record> input,
+                                  const RunFormationOptions& options);
 
 }  // namespace emsim::extsort
 

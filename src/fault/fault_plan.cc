@@ -7,27 +7,6 @@
 
 namespace emsim::fault {
 
-MediaErrorInjector::MediaErrorInjector(const MediaFaultOptions& options)
-    : options_(options), rng_(options.seed) {}
-
-bool MediaErrorInjector::NextReadFails() {
-  ++read_attempts_;
-  // The nth-failure override bypasses the Bernoulli stream entirely so tests
-  // can place a fault at an exact attempt without perturbing random draws.
-  bool fail = options_.fail_nth_read > 0 ? read_attempts_ == options_.fail_nth_read
-                                         : rng_.Bernoulli(options_.read_failure_rate);
-  if (fail) ++injected_reads_;
-  return fail;
-}
-
-bool MediaErrorInjector::NextWriteFails() {
-  ++write_attempts_;
-  bool fail = options_.fail_nth_write > 0 ? write_attempts_ == options_.fail_nth_write
-                                          : rng_.Bernoulli(options_.write_failure_rate);
-  if (fail) ++injected_writes_;
-  return fail;
-}
-
 double RetryPolicy::BackoffMs(int retry) const {
   double backoff = backoff_base_ms;
   for (int i = 0; i < retry; ++i) {
@@ -119,14 +98,11 @@ FaultPlan::FaultPlan(const FaultConfig& config, int num_disks, uint64_t base_see
   // Expand one plan seed into independent per-disk streams: fault draws on
   // disk i never shift the stream of disk j.
   SplitMix64 expand(config.seed != 0 ? config.seed : base_seed ^ 0xFA177C0DEULL);
-  media_.reserve(static_cast<size_t>(num_disks));
+  media_rngs_.reserve(static_cast<size_t>(num_disks));
   spike_rngs_.reserve(static_cast<size_t>(num_disks));
   for (int d = 0; d < num_disks; ++d) {
-    MediaFaultOptions media;
-    media.read_failure_rate = config.media_error_rate;
-    media.seed = expand.Next();
-    media_.emplace_back(media);
-    spike_rngs_.emplace_back(Rng(expand.Next()));
+    media_rngs_.emplace_back(expand.Next());
+    spike_rngs_.emplace_back(expand.Next());
   }
 }
 
@@ -147,7 +123,7 @@ RequestFault FaultPlan::OnRequestStart(int disk, double now) {
   RequestFault fault;
   auto d = static_cast<size_t>(disk);
   if (config_.media_error_rate > 0.0) {
-    fault.media_error = media_[d].NextReadFails();
+    fault.media_error = media_rngs_[d].Bernoulli(config_.media_error_rate);
   }
   if (config_.latency_spike_rate > 0.0 && spike_rngs_[d].Bernoulli(config_.latency_spike_rate)) {
     fault.extra_latency_ms = config_.latency_spike_ms;

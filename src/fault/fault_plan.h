@@ -10,46 +10,6 @@
 
 namespace emsim::fault {
 
-/// Transient media-error injection options — the one fault vocabulary shared
-/// by the simulation's FaultPlan and the external sorter's FaultyBlockDevice.
-/// Failures are deterministic for a seed.
-struct MediaFaultOptions {
-  double read_failure_rate = 0.0;   ///< Probability a read fails with kIoError.
-  double write_failure_rate = 0.0;  ///< Probability a write fails with kIoError.
-  uint64_t seed = 1;
-  /// If > 0, exactly this 1-based read fails instead of random sampling
-  /// (precise fault placement for tests).
-  uint64_t fail_nth_read = 0;
-  uint64_t fail_nth_write = 0;
-};
-
-/// Deterministic sampler for MediaFaultOptions. One instance per injection
-/// site (block device, or one disk of a FaultPlan), each drawing from its own
-/// seeded stream so sites never perturb each other.
-class MediaErrorInjector {
- public:
-  explicit MediaErrorInjector(const MediaFaultOptions& options);
-
-  /// Advances the read-attempt counter and reports whether this read fails.
-  bool NextReadFails();
-
-  /// Advances the write-attempt counter and reports whether this write fails.
-  bool NextWriteFails();
-
-  uint64_t read_attempts() const { return read_attempts_; }
-  uint64_t write_attempts() const { return write_attempts_; }
-  uint64_t injected_read_failures() const { return injected_reads_; }
-  uint64_t injected_write_failures() const { return injected_writes_; }
-
- private:
-  MediaFaultOptions options_;
-  Rng rng_;
-  uint64_t read_attempts_ = 0;
-  uint64_t write_attempts_ = 0;
-  uint64_t injected_reads_ = 0;
-  uint64_t injected_writes_ = 0;
-};
-
 /// Retry/timeout/backoff policy for fault-aware I/O submission
 /// (io::FetchRetryDriver). Only consulted when fault injection is enabled.
 struct RetryPolicy {
@@ -157,8 +117,8 @@ class FaultPlan {
 
  private:
   FaultConfig config_;
-  std::vector<MediaErrorInjector> media_;  ///< One per disk.
-  std::vector<Rng> spike_rngs_;            ///< One per disk.
+  std::vector<Rng> media_rngs_;  ///< One per disk.
+  std::vector<Rng> spike_rngs_;  ///< One per disk.
 };
 
 /// Aggregated fault/recovery outcome of one simulated merge. All fields stay

@@ -10,45 +10,6 @@
 namespace emsim::fault {
 namespace {
 
-TEST(MediaErrorInjectorTest, ZeroRateNeverFails) {
-  MediaErrorInjector injector(MediaFaultOptions{});
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(injector.NextReadFails());
-    EXPECT_FALSE(injector.NextWriteFails());
-  }
-  EXPECT_EQ(injector.injected_read_failures(), 0u);
-  EXPECT_EQ(injector.injected_write_failures(), 0u);
-  EXPECT_EQ(injector.read_attempts(), 1000u);
-}
-
-TEST(MediaErrorInjectorTest, NthFailureIsExact) {
-  MediaFaultOptions options;
-  options.fail_nth_read = 7;
-  options.fail_nth_write = 3;
-  MediaErrorInjector injector(options);
-  for (int i = 1; i <= 10; ++i) {
-    EXPECT_EQ(injector.NextReadFails(), i == 7) << "read " << i;
-  }
-  for (int i = 1; i <= 10; ++i) {
-    EXPECT_EQ(injector.NextWriteFails(), i == 3) << "write " << i;
-  }
-  EXPECT_EQ(injector.injected_read_failures(), 1u);
-  EXPECT_EQ(injector.injected_write_failures(), 1u);
-}
-
-TEST(MediaErrorInjectorTest, DeterministicPerSeed) {
-  MediaFaultOptions options;
-  options.read_failure_rate = 0.2;
-  options.seed = 99;
-  MediaErrorInjector a(options);
-  MediaErrorInjector b(options);
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(a.NextReadFails(), b.NextReadFails()) << "draw " << i;
-  }
-  EXPECT_GT(a.injected_read_failures(), 0u);
-  EXPECT_LT(a.injected_read_failures(), 500u);
-}
-
 TEST(RetryPolicyTest, BackoffIsExponential) {
   RetryPolicy policy;
   policy.backoff_base_ms = 10.0;
@@ -156,6 +117,47 @@ TEST(FaultPlanTest, FailSlowFactorOnlyInsideWindow) {
   EXPECT_DOUBLE_EQ(plan.OnRequestStart(2, 149.0).slow_factor, 8.0);
   EXPECT_DOUBLE_EQ(plan.OnRequestStart(2, 150.0).slow_factor, 1.0);
   EXPECT_DOUBLE_EQ(plan.OnRequestStart(1, 100.0).slow_factor, 1.0);
+}
+
+TEST(FaultPlanTest, ZeroMediaErrorRateNeverFails) {
+  FaultConfig config;
+  config.latency_spike_rate = 0.5;  // Injection on, media errors off.
+  FaultPlan plan(config, 2, /*base_seed=*/3);
+  int spikes = 0;
+  for (int i = 0; i < 1000; ++i) {
+    RequestFault fault = plan.OnRequestStart(i % 2, 0.0);
+    EXPECT_FALSE(fault.media_error) << "draw " << i;
+    spikes += fault.extra_latency_ms > 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(spikes, 0);
+}
+
+TEST(FaultPlanTest, MediaErrorsFollowTheirRate) {
+  FaultConfig config;
+  config.media_error_rate = 0.2;
+  FaultPlan plan(config, 1, /*base_seed=*/99);
+  int errors = 0;
+  for (int i = 0; i < 5000; ++i) {
+    errors += plan.OnRequestStart(0, 0.0).media_error ? 1 : 0;
+  }
+  EXPECT_GT(errors, 850);   // 1000 expected, sd ~28.
+  EXPECT_LT(errors, 1150);
+}
+
+TEST(FaultPlanTest, MediaErrorsDoNotShiftSpikes) {
+  // Each disk's media-error and latency-spike draws come from separate
+  // streams: turning media errors on leaves the spike sequence as it was.
+  FaultConfig spikes_only;
+  spikes_only.latency_spike_rate = 0.3;
+  FaultConfig both = spikes_only;
+  both.media_error_rate = 0.4;
+  FaultPlan a(spikes_only, 2, /*base_seed=*/5);
+  FaultPlan b(both, 2, /*base_seed=*/5);
+  for (int i = 0; i < 500; ++i) {
+    EXPECT_EQ(a.OnRequestStart(i % 2, 0.0).extra_latency_ms,
+              b.OnRequestStart(i % 2, 0.0).extra_latency_ms)
+        << "draw " << i;
+  }
 }
 
 TEST(FaultPlanTest, PerDiskStreamsAreIndependent) {

@@ -1,6 +1,7 @@
 // Cross-module integration: the full pipeline from record generation through
-// real external sorting to trace-driven timing simulation, plus end-to-end
-// agreement between the analytic models and the discrete-event simulator.
+// run formation and a real merge's depletion trace to trace-driven timing
+// simulation, plus end-to-end agreement between the analytic models and the
+// discrete-event simulator.
 
 #include <algorithm>
 #include <cstddef>
@@ -16,8 +17,7 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/merge_simulator.h"
-#include "extsort/block_device.h"
-#include "extsort/merger.h"
+#include "extsort/depletion_trace.h"
 #include "extsort/record.h"
 #include "extsort/run_formation.h"
 #include "workload/record_generator.h"
@@ -29,7 +29,7 @@ using core::MergeConfig;
 using core::Strategy;
 using core::SyncMode;
 
-/// Sorts real records and returns (trace, per-run block lengths).
+/// Sorts real records into runs and returns (trace, per-run block lengths).
 std::pair<std::vector<int>, std::vector<int64_t>> RealMergeTrace(
     size_t n, workload::KeyDistribution dist,
     extsort::RunFormationStrategy strategy, size_t memory_records) {
@@ -42,15 +42,14 @@ std::pair<std::vector<int>, std::vector<int64_t>> RealMergeTrace(
   for (size_t i = 0; i < n; ++i) {
     input.push_back({gen.NextKey(), i});
   }
-  extsort::MemoryBlockDevice scratch(1 << 14, 4096);
   extsort::RunFormationOptions rf;
   rf.memory_records = memory_records;
   rf.strategy = strategy;
-  auto runs = extsort::FormRuns(input, &scratch, rf);
+  auto runs = extsort::FormRuns(input, rf);
   EXPECT_TRUE(runs.ok());
-  auto outcome = extsort::ExtractDepletionTrace(&scratch, runs->runs);
+  auto outcome = extsort::ExtractDepletionTrace(*runs, extsort::kRecordsPerBlock);
   EXPECT_TRUE(outcome.ok());
-  return {outcome->depletion_trace, outcome->run_blocks};
+  return {outcome->trace, outcome->run_blocks};
 }
 
 TEST(PipelineTest, RealTraceDrivesSimulator) {
@@ -123,15 +122,14 @@ TEST(PipelineTest, SortedDataDepletesSequentially) {
   for (size_t i = 0; i < 10000; ++i) {
     input.push_back({gen.NextKey(), i});
   }
-  extsort::MemoryBlockDevice scratch(1 << 14, 4096);
   extsort::RunFormationOptions rf;
   rf.memory_records = 2500;
-  auto runs = extsort::FormRuns(input, &scratch, rf);
+  auto runs = extsort::FormRuns(input, rf);
   ASSERT_TRUE(runs.ok());
-  auto outcome = extsort::ExtractDepletionTrace(&scratch, runs->runs);
+  auto outcome = extsort::ExtractDepletionTrace(*runs, extsort::kRecordsPerBlock);
   ASSERT_TRUE(outcome.ok());
   // The trace must be a concatenation: run i fully before run i+1.
-  const auto& trace = outcome->depletion_trace;
+  const auto& trace = outcome->trace;
   EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end()));
 }
 
